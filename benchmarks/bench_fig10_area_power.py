@@ -8,12 +8,14 @@ sub-percent power, buffer-dominated.
 
 from benchmarks.conftest import run_once
 from repro.analysis.report import ascii_table
-from repro.energy.breakdown import area_breakdown
+from repro.energy.breakdown import area_breakdown, figure10_shares
 
 
-def test_fig10_area_power(benchmark, suite):
-    shares = run_once(benchmark, suite.figure10)
-    components = area_breakdown(suite.config.accelerator, suite.config.frontend)
+def test_fig10_area_power(benchmark, spec):
+    shares = run_once(
+        benchmark, lambda: figure10_shares(spec.accelerator, spec.frontend)
+    )
+    components = area_breakdown(spec.accelerator, spec.frontend)
     total_area = sum(c.area_mm2 for c in components)
     total_power = sum(c.power_mw for c in components)
     rows = [

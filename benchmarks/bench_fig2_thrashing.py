@@ -9,10 +9,23 @@ accesses, and DBLP (most vertices) thrashes hardest.
 
 from benchmarks.conftest import run_once
 from repro.analysis.report import ascii_table, render_histogram
+from repro.analysis.thrashing import thrashing_analysis
 
 
-def test_fig2_replacement_histograms(benchmark, suite):
-    profiles = run_once(benchmark, lambda: suite.figure2("rgcn"))
+def test_fig2_replacement_histograms(benchmark, spec, session):
+    def profile_all():
+        return {
+            dataset: thrashing_analysis(
+                session.graph(dataset),
+                "rgcn",
+                config=spec.accelerator,
+                model_config=spec.model_config,
+                semantic_graphs=session.semantic_graphs(dataset),
+            )
+            for dataset in spec.datasets
+        }
+
+    profiles = run_once(benchmark, profile_all)
     print()
     for name, profile in profiles.items():
         rows = [

@@ -9,44 +9,42 @@ DBLP (the thrashing-heaviest dataset).
 """
 
 from benchmarks.conftest import BENCH_JOBS, run_once
-from repro.analysis.experiments import PLATFORMS
 from repro.analysis.report import ascii_table
 
 PAPER_GEOMEAN = {"a100": 4.7, "hihgnn": 38.7, "hihgnn+gdr": 68.8}
 
 
-def test_fig7_speedup(benchmark, suite):
+def test_fig7_speedup(benchmark, spec, session):
     def compute():
-        suite.run_grid(jobs=BENCH_JOBS)
-        return suite.figure7()
+        return session.run(jobs=BENCH_JOBS).speedup()
 
     table = run_once(benchmark, compute)
     rows = []
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in spec.models:
+        for dataset in spec.datasets:
             cell = table[model][dataset]
             rows.append([model, dataset] +
-                        [f"{cell[p]:.2f}" for p in PLATFORMS])
+                        [f"{cell[p]:.2f}" for p in spec.platforms])
     geo = table["GEOMEAN"]["all"]
-    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.2f}" for p in PLATFORMS])
+    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.2f}" for p in spec.platforms])
     rows.append(["paper", "geomean", "1.00",
                  str(PAPER_GEOMEAN["a100"]), str(PAPER_GEOMEAN["hihgnn"]),
                  str(PAPER_GEOMEAN["hihgnn+gdr"])])
     print()
-    print(ascii_table(["model", "dataset"] + list(PLATFORMS), rows,
+    print(ascii_table(["model", "dataset"] + list(spec.platforms), rows,
                       title="Fig. 7: speedup over T4"))
 
     # Shape: strict platform ordering on the geomean.
     assert 1.0 < geo["a100"] < geo["hihgnn"] <= geo["hihgnn+gdr"]
     # GDR helps every single configuration.
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in spec.models:
+        for dataset in spec.datasets:
             cell = table[model][dataset]
             assert cell["hihgnn+gdr"] >= cell["hihgnn"] * 0.999
     # GDR's edge over HiHGNN is largest on DBLP.
     gdr_gain = {
         dataset: table["rgcn"][dataset]["hihgnn+gdr"]
         / table["rgcn"][dataset]["hihgnn"]
-        for dataset in suite.config.datasets
+        for dataset in spec.datasets
     }
     assert gdr_gain["dblp"] == max(gdr_gain.values())

@@ -8,32 +8,30 @@ HiHGNN's accesses by a large fraction, most on DBLP.
 """
 
 from benchmarks.conftest import BENCH_JOBS, run_once
-from repro.analysis.experiments import PLATFORMS
 from repro.analysis.report import ascii_table
 
 PAPER_GEOMEAN = {"a100": 0.551, "hihgnn": 0.084, "hihgnn+gdr": 0.048}
 
 
-def test_fig8_dram_accesses(benchmark, suite):
+def test_fig8_dram_accesses(benchmark, spec, session):
     def compute():
-        suite.run_grid(jobs=BENCH_JOBS)
-        return suite.figure8()
+        return session.run(jobs=BENCH_JOBS).dram_traffic()
 
     table = run_once(benchmark, compute)
     rows = []
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in spec.models:
+        for dataset in spec.datasets:
             cell = table[model][dataset]
             rows.append([model, dataset] +
-                        [f"{cell[p]:.4f}" for p in PLATFORMS])
+                        [f"{cell[p]:.4f}" for p in spec.platforms])
     geo = table["GEOMEAN"]["all"]
-    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.4f}" for p in PLATFORMS])
+    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.4f}" for p in spec.platforms])
     rows.append(["paper", "geomean", "1.0000",
                  f"{PAPER_GEOMEAN['a100']:.4f}",
                  f"{PAPER_GEOMEAN['hihgnn']:.4f}",
                  f"{PAPER_GEOMEAN['hihgnn+gdr']:.4f}"])
     print()
-    print(ascii_table(["model", "dataset"] + list(PLATFORMS), rows,
+    print(ascii_table(["model", "dataset"] + list(spec.platforms), rows,
                       title="Fig. 8: DRAM accesses normalized to T4"))
 
     # Shape assertions.
@@ -44,7 +42,7 @@ def test_fig8_dram_accesses(benchmark, suite):
     ratio = {
         dataset: table["rgcn"][dataset]["hihgnn+gdr"]
         / table["rgcn"][dataset]["hihgnn"]
-        for dataset in suite.config.datasets
+        for dataset in spec.datasets
     }
     assert ratio["dblp"] == min(ratio.values())
     assert ratio["dblp"] < 0.8  # paper: 0.571 on average

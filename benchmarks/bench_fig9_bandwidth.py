@@ -9,26 +9,24 @@ these small graphs); GDR's utilization is in the same band as HiHGNN's.
 """
 
 from benchmarks.conftest import BENCH_JOBS, run_once
-from repro.analysis.experiments import PLATFORMS
 from repro.analysis.report import ascii_table
 
 
-def test_fig9_bandwidth_utilization(benchmark, suite):
+def test_fig9_bandwidth_utilization(benchmark, spec, session):
     def compute():
-        suite.run_grid(jobs=BENCH_JOBS)
-        return suite.figure9()
+        return session.run(jobs=BENCH_JOBS).bandwidth()
 
     table = run_once(benchmark, compute)
     rows = []
-    for model in suite.config.models:
-        for dataset in suite.config.datasets:
+    for model in spec.models:
+        for dataset in spec.datasets:
             cell = table[model][dataset]
             rows.append([model, dataset] +
-                        [f"{cell[p]:.1%}" for p in PLATFORMS])
+                        [f"{cell[p]:.1%}" for p in spec.platforms])
     geo = table["GEOMEAN"]["all"]
-    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.1%}" for p in PLATFORMS])
+    rows.append(["GEOMEAN", "all"] + [f"{geo[p]:.1%}" for p in spec.platforms])
     print()
-    print(ascii_table(["model", "dataset"] + list(PLATFORMS), rows,
+    print(ascii_table(["model", "dataset"] + list(spec.platforms), rows,
                       title="Fig. 9: DRAM bandwidth utilization"))
     gdr_vs_t4 = geo["hihgnn+gdr"] / geo["t4"]
     gdr_vs_a100 = geo["hihgnn+gdr"] / geo["a100"]

@@ -158,20 +158,18 @@ def run_benchmark(dataset: str, scale: float, repeats: int) -> dict:
     }
 
 
-def test_frontend_hides_in_pipeline(benchmark, suite):
+def test_frontend_hides_in_pipeline(benchmark, spec, session):
     from benchmarks.conftest import run_once
 
     def run_all():
         out = {}
-        for dataset in suite.config.datasets:
-            graph = suite.graph(dataset)
+        for dataset in spec.datasets:
+            graph = session.graph(dataset)
             base = HiHGNNSimulator(
-                suite.config.accelerator, suite.config.model_config
+                spec.accelerator, spec.model_config
             ).run(graph, "rgcn")
             gdr = GDRHGNNSystem(
-                suite.config.accelerator,
-                suite.config.frontend,
-                suite.config.model_config,
+                spec.accelerator, spec.frontend, spec.model_config
             ).run(graph, "rgcn")
             out[dataset] = (base, gdr)
         return out

@@ -15,7 +15,7 @@ Three end-to-end configurations are measured:
 - ``vectorized_cold``: the replay engine with nothing precomputed; the
   pass builds the shared semantic graphs, traces and artifacts once
   and both simulators consume them.
-- ``vectorized_warm``: the evaluation-suite steady state, where the
+- ``vectorized_warm``: the grid steady state, where the
   per-dataset traces/artifacts already exist (every figure grid runs
   many platform x model cells against the same datasets).
 
@@ -68,7 +68,7 @@ def _end_to_end(graph, *, naive: bool, shared_sgs=None) -> float:
         elif shared_sgs is None:
             # New execution model: SGB output (and with it the cached
             # traces and replay artifacts) is built once per dataset
-            # and shared by every simulator, as EvaluationSuite does.
+            # and shared by every simulator, as the grid runner does.
             sgs_gpu = sgs_acc = build_semantic_graphs(graph)
         else:
             sgs_gpu = sgs_acc = shared_sgs
@@ -146,7 +146,7 @@ def run_benchmark(
         # Reference point measured once against the actual seed commit
         # (e65773b, same machine class): the seed pass took ~0.448 s on
         # dblp at scale 1.0, i.e. the cold vectorized pass is >5x and
-        # the suite-warm pass >25x faster than the seed.
+        # the warm pass >25x faster than the seed.
         "seed_reference": {
             "commit": "e65773b",
             "pass_s": 0.448,
@@ -155,7 +155,7 @@ def run_benchmark(
     }
 
 
-def test_perf_replay_smoke(benchmark, suite):
+def test_perf_replay_smoke(benchmark):
     """Pytest smoke: reduced-scale run, engine faster than the loops."""
     from benchmarks.conftest import BENCH_SCALE, run_once
 

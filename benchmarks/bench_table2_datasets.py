@@ -11,23 +11,23 @@ from repro.analysis.report import ascii_table
 from repro.graph.datasets import DATASET_SPECS
 
 
-def test_table2(benchmark, suite):
+def test_table2(benchmark, spec, session):
     def build():
-        return {name: suite.graph(name) for name in suite.config.datasets}
+        return {name: session.graph(name) for name in spec.datasets}
 
     graphs = run_once(benchmark, build)
     rows = []
     for name, graph in graphs.items():
-        spec = DATASET_SPECS[name]
+        paper = DATASET_SPECS[name]
         for vtype in graph.vertex_types:
             rows.append([
                 name, vtype,
-                spec.num_vertices[vtype], graph.num_vertices(vtype),
+                paper.num_vertices[vtype], graph.num_vertices(vtype),
                 graph.feature_dim(vtype) or "-",
             ])
         rows.append([
             name, "(edges, all relations)",
-            spec.total_edges, graph.num_edges(), "-",
+            paper.total_edges, graph.num_edges(), "-",
         ])
     print()
     print(ascii_table(
@@ -35,15 +35,15 @@ def test_table2(benchmark, suite):
         rows, title="Table 2: dataset statistics (paper vs generated)",
     ))
     for name, graph in graphs.items():
-        spec = DATASET_SPECS[name]
-        if suite.config.scale == 1.0:
-            for vtype, count in spec.num_vertices.items():
+        paper = DATASET_SPECS[name]
+        if spec.scale == 1.0:
+            for vtype, count in paper.num_vertices.items():
                 assert graph.num_vertices(vtype) == count
 
 
-def test_table2_relations_listed(suite):
+def test_table2_relations_listed(session):
     """Every Table 2 relation (both directions) exists in the graphs."""
-    graph = suite.graph("imdb")
+    graph = session.graph("imdb")
     names = {r.name for r in graph.relations}
     assert {"performs", "rev_performs", "describes", "rev_describes",
             "directs", "rev_directs"} == names

@@ -20,8 +20,8 @@ DAC 2024) as a pure-Python system:
 - :mod:`repro.gpu` -- T4 / A100 GPU performance models running the same
   workloads.
 - :mod:`repro.energy` -- area / power / energy models (12 nm).
-- :mod:`repro.analysis` -- experiment harness regenerating every table
-  and figure of the paper's evaluation.
+- :mod:`repro.analysis` -- the Fig. 2 thrashing profile, the buffer
+  sweep and the text renderers for tables and histograms.
 - :mod:`repro.api` -- the stable programmatic entry point: declarative
   :class:`~repro.api.spec.ExperimentSpec`, typed results and the
   blocking/streaming :class:`~repro.api.session.Session`.
@@ -30,7 +30,7 @@ DAC 2024) as a pure-Python system:
   adversarial stress cases) usable wherever a dataset name is.
 
 The evaluation entry points (``ExperimentSpec``, ``Session``,
-``EvaluationSuite``, ``EvaluationConfig``, ...) are exposed lazily:
+``GridResult``, ...) are exposed lazily:
 ``from repro import Session`` works, but ``import repro`` alone never
 pays for the simulator stack.
 """
@@ -57,8 +57,6 @@ _LAZY_EXPORTS = {
     "RetryPolicy": "repro.platforms.failures",
     "FaultPlan": "repro.faults",
     "FaultRule": "repro.faults",
-    "EvaluationSuite": "repro.analysis.experiments",
-    "EvaluationConfig": "repro.analysis.experiments",
     "register_scenario": "repro.scenarios.registry",
     "build_scenario": "repro.scenarios.registry",
     "scenario_names": "repro.scenarios.registry",

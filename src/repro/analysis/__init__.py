@@ -1,12 +1,7 @@
-"""Experiment harness regenerating every table and figure of the paper."""
+"""Analyses behind the paper's tables and figures beyond the grid metrics."""
 
 from repro.analysis.report import ascii_table, format_ratio, render_histogram
 from repro.analysis.thrashing import ThrashingProfile, thrashing_analysis
-from repro.analysis.experiments import (
-    EvaluationConfig,
-    EvaluationSuite,
-    geomean,
-)
 from repro.analysis.sweeps import BufferSweepPoint, buffer_sensitivity
 
 __all__ = [
@@ -15,9 +10,6 @@ __all__ = [
     "render_histogram",
     "ThrashingProfile",
     "thrashing_analysis",
-    "EvaluationConfig",
-    "EvaluationSuite",
-    "geomean",
     "BufferSweepPoint",
     "buffer_sensitivity",
 ]

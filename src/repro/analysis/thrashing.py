@@ -6,8 +6,8 @@ vertices at each replacement count, and the ratio of DRAM accesses they
 caused -- the two series of Fig. 2.
 
 The run is routed through the platform registry, so the CLI's
-``thrash`` command, :meth:`EvaluationSuite.figure2` and ad-hoc analyses
-all profile exactly the same platform construction (and registered
+``thrash`` command, the Fig. 2 benchmark and ad-hoc analyses all
+profile exactly the same platform construction (and registered
 accelerator variants can be profiled by name).
 """
 

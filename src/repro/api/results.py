@@ -706,10 +706,6 @@ class DatasetStatRow:
     spec_vertices: int | None = None
     relations: int | None = None
 
-    def __getitem__(self, key: str) -> Any:
-        # Dict-style access for pre-API callers of table2() rows.
-        return getattr(self, key)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "dataset": self.dataset,
@@ -775,9 +771,34 @@ class SystemConfigReport:
     hihgnn: dict[str, float]
     gdr_hgnn: dict[str, float]
 
-    def __getitem__(self, key: str) -> dict[str, float]:
-        # Pre-API callers index with the paper's column names.
-        return {"hihgnn": self.hihgnn, "gdr-hgnn": self.gdr_hgnn}[key]
+    @classmethod
+    def from_configs(
+        cls, accelerator: Any = None, frontend: Any = None
+    ) -> "SystemConfigReport":
+        """Build from the two configurations (default configs)."""
+        from repro.accelerator.config import HiHGNNConfig
+        from repro.frontend.config import GDRConfig
+
+        accel = accelerator or HiHGNNConfig()
+        front = frontend or GDRConfig()
+        return cls(
+            hihgnn={
+                "peak_tflops": accel.peak_tflops,
+                "clock_ghz": accel.clock_ghz,
+                "num_lanes": accel.num_lanes,
+                "fp_buffer_mb": accel.fp_buffer_bytes / (1 << 20),
+                "na_buffer_mb": accel.na_buffer_bytes / (1 << 20),
+                "sf_buffer_mb": accel.sf_buffer_bytes / (1 << 20),
+                "att_buffer_mb": accel.att_buffer_bytes / (1 << 20),
+                "hbm_gbs": accel.hbm.peak_bytes_per_cycle * accel.clock_ghz,
+            },
+            gdr_hgnn={
+                "fifo_kb": front.fifo_bytes / 1024,
+                "matching_buffer_kb": front.matching_buffer_bytes / 1024,
+                "candidate_buffer_kb": front.candidate_buffer_bytes / 1024,
+                "adj_buffer_kb": front.adj_buffer_bytes / 1024,
+            },
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -121,11 +121,7 @@ class Session:
             if workspace is None:
                 workspace = _Workspace(
                     runner=GridRunner(
-                        spec.context(),
-                        seed=spec.seed,
-                        scale=spec.scale,
-                        jobs=self.jobs,
-                        executor=self.executor,
+                        spec.context(), seed=spec.seed, scale=spec.scale
                     )
                 )
                 self._workspaces[key] = workspace
@@ -151,22 +147,32 @@ class Session:
     # Store plumbing (typed, schema-versioned payloads)
     # ------------------------------------------------------------------
 
-    def _cell_store_key(
+    def _cell_digest(
         self, workspace: _Workspace, spec: ExperimentSpec, key: GridKey
     ) -> str:
-        platform_name, model, dataset = key
+        """Digest of everything one cell's result depends on.
+
+        Shared by the store address and the service's content key, so
+        the two can never drift apart.
+        """
+        platform_name, _, dataset = key
         platform = workspace.runner.platform(platform_name)
         # workload_digest covers the resolved generation recipe, so a
         # changed scenario parameter (or catalog recipe edit) is a
         # store miss even when the dataset name text is unchanged.
-        digest = config_digest(
+        return config_digest(
             spec.seed,
             spec.scale,
             workload_digest(dataset, spec.seed, spec.scale),
             *platform.digest_sources(),
             _CELL_SCHEMA,
         )
-        return self.store.key_for(platform_name, model, dataset, digest)
+
+    def _cell_store_key(
+        self, workspace: _Workspace, spec: ExperimentSpec, key: GridKey
+    ) -> str:
+        digest = self._cell_digest(workspace, spec, key)
+        return self.store.key_for(*key, digest)
 
     def _peek(
         self, workspace: _Workspace, spec: ExperimentSpec, key: GridKey
@@ -204,7 +210,7 @@ class Session:
         persisted, so a later run retries the cell fresh.
         """
         outcome = workspace.runner.run_cell(
-            *key, probe_store=False, retry=retry, on_error=on_error
+            *key, retry=retry, on_error=on_error
         )
         return self._finalize(workspace, spec, key, outcome)
 
@@ -290,17 +296,8 @@ class Session:
         registry dedupes in-flight work on this key.
         """
         spec = self.spec if spec is None else spec
-        workspace = self._workspace(spec)
-        platform_name, model, dataset = key
-        platform = workspace.runner.platform(platform_name)
-        digest = config_digest(
-            spec.seed,
-            spec.scale,
-            workload_digest(dataset, spec.seed, spec.scale),
-            *platform.digest_sources(),
-            _CELL_SCHEMA,
-        )
-        return config_digest(platform_name, model, dataset, digest)
+        digest = self._cell_digest(self._workspace(spec), spec, key)
+        return config_digest(*key, digest)
 
     def peek_cell(
         self, key: GridKey, *, spec: ExperimentSpec | None = None

@@ -537,7 +537,7 @@ def _cmd_thrash(args) -> int:
     restructurer = (
         GraphRestructurer(validate=False) if args.gdr else None
     )
-    # Same accelerator/model configuration as EvaluationSuite.figure2,
+    # Same accelerator/model configuration as the evaluate grid's spec,
     # routed through the "hihgnn" platform registry entry.
     profile = thrashing_analysis(
         graph,

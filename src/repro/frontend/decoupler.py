@@ -42,7 +42,6 @@ locks in across the scenario catalog.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.frontend.config import GDRConfig
@@ -73,21 +72,6 @@ class DecouplerReport:
         if self.cycles == 0:
             return 0.0
         return self.fifo_pushes / self.cycles
-
-    @property
-    def edges_per_cycle_achieved(self) -> float:
-        """Deprecated alias of :attr:`pushes_per_cycle_achieved`.
-
-        The ratio always divided ``fifo_pushes`` by cycles despite the
-        name; use the accurately-named property instead.
-        """
-        warnings.warn(
-            "DecouplerReport.edges_per_cycle_achieved divides fifo_pushes "
-            "by cycles; use pushes_per_cycle_achieved",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.pushes_per_cycle_achieved
 
 
 class Decoupler:

@@ -1,8 +1,8 @@
 """Extensible execution platforms for the evaluation grid.
 
 This package decouples *what* the evaluation runs (platforms named in
-a registry) from *how* it runs (a parallel grid runner backed by a
-persistent artifact store):
+a registry) from *how* it runs (a parallel grid runner, plus the
+persistent artifact store that :class:`~repro.api.Session` keeps):
 
 - :mod:`repro.platforms.base` -- the :class:`Platform` protocol
   (``prepare`` / ``simulate``) and the shared-topology artifact type.
@@ -10,8 +10,7 @@ persistent artifact store):
   and lookup helpers. The four paper platforms register from the
   layers owning their simulators.
 - :mod:`repro.platforms.runner` -- :class:`GridRunner`, the
-  ``concurrent.futures`` executor of the platform x model x dataset
-  grid.
+  ``concurrent.futures`` executor of platform x model x dataset cells.
 - :mod:`repro.platforms.store` -- :class:`ArtifactStore`,
   content-addressed on-disk report caching keyed by platform, model,
   dataset, configuration digest and code version.

@@ -1,14 +1,18 @@
-"""Parallel, failure-isolating executor of the platform grid.
+"""Parallel, failure-isolating executor of grid cells.
 
-The runner owns everything the old ``EvaluationSuite.run`` hard-coded:
+The runner owns the per-(seed, scale, configuration) execution state
+behind :class:`~repro.api.session.Session`:
 
 - dataset graphs and their shared :class:`DatasetArtifacts` (built once
   per dataset, warmed, then read-only — the precondition for fanning
   cells out across workers),
 - platform instances resolved through the registry,
-- an in-memory result memo plus an optional persistent
-  :class:`~repro.platforms.store.ArtifactStore`,
+- an in-memory memo of raw simulation reports,
 - a ``concurrent.futures`` thread or process pool for ``jobs > 1``.
+
+The session owns everything above it: the persistent store, the grid
+order and the fan-out defaults, which it passes explicitly to
+:meth:`GridRunner.warm_artifacts` and :meth:`GridRunner.run_cells`.
 
 Two fan-out backends share one contract (``executor=``):
 
@@ -19,8 +23,8 @@ Two fan-out backends share one contract (``executor=``):
   publishes its topology arrays into shared memory
   (:mod:`repro.platforms.shm`), and workers attach them as zero-copy
   read-only views — no artifact is ever rebuilt or pickled per cell.
-  All store I/O and memoization stay in the parent, so the store's
-  bytes are identical to a serial run.
+  Memoization stays in the parent, and so does the session's store
+  I/O, so the store's bytes are identical to a serial run.
 - ``"auto"`` — ``"process"`` when ``jobs > 1`` and the machine has
   more than one CPU, else ``"thread"``.
 
@@ -34,17 +38,15 @@ schedule hits the same cells it would in-process.
 Failure semantics
 -----------------
 
-One raising cell no longer aborts the fan-out. :meth:`GridRunner.run_cell`
+One raising cell never aborts the fan-out. :meth:`GridRunner.run_cell`
 applies an optional :class:`~repro.platforms.failures.RetryPolicy`
 (transient errors only — injected faults and OS-level I/O errors,
 never validation ``ValueError``), and with ``on_error="collect"``
 captures the terminal exception as a typed
 :class:`~repro.platforms.failures.CellFailure` instead of raising.
-:meth:`GridRunner.run_grid` propagates the choice across the whole
-grid: ``"raise"`` (default) keeps the historical fail-fast contract,
-``"collect"`` returns failures as values next to the surviving
-reports. Store I/O never fails a cell: a failed load is a miss, a
-failed transient save forfeits only the cache write.
+:meth:`GridRunner.run_cells` applies the choice to every cell:
+``"raise"`` (default) fails fast, ``"collect"`` yields failures as
+values next to the surviving reports.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from repro.graph.hetero import HeteroGraph
 from repro.platforms.base import DatasetArtifacts, Platform, PlatformContext
 from repro.platforms.failures import ArtifactBuildError, CellFailure, RetryPolicy
 from repro.platforms.registry import create_platform
-from repro.platforms.store import ArtifactStore, config_digest
 
 __all__ = ["GridRunner", "resolve_executor", "resolve_jobs"]
 
@@ -121,8 +122,8 @@ def _mp_context():
 # handles of every published dataset, and the parent's fault schedule
 # as picklable ``(rules, seed)`` (a FaultPlan holds a lock and cannot
 # travel; firing is a pure function of the pair, so a re-armed copy
-# hits the same cells). Workers keep a store-less GridRunner in module
-# state; per-cell traffic is just the (tiny) cell key and its report.
+# hits the same cells). Workers keep a GridRunner in module state;
+# per-cell traffic is just the (tiny) cell key and its report.
 
 _WORKER_RUNNER: "GridRunner | None" = None
 
@@ -145,10 +146,7 @@ def _worker_init(context, seed, scale, handles, fault_rules, fault_seed):
 
 
 def _worker_run_cell(cell, retry, on_error):
-    outcome = _WORKER_RUNNER.run_cell(
-        *cell, probe_store=False, retry=retry, on_error=on_error
-    )
-    return cell, outcome
+    return cell, _WORKER_RUNNER.run_cell(*cell, retry=retry, on_error=on_error)
 
 
 def _close_segments(segments: dict) -> None:
@@ -159,18 +157,13 @@ def _close_segments(segments: dict) -> None:
 
 
 class GridRunner:
-    """Executes grid cells through the registry, memo and store.
+    """Executes grid cells through the registry and the report memo.
 
     Args:
         context: configuration bundle handed to every platform.
-        seed: dataset generation seed (part of the store digest, and
-            of deterministic retry jitter).
-        scale: dataset scale factor (part of the store digest).
-        store: optional persistent report store; ``None`` keeps results
-            in memory only.
-        jobs: default worker count for :meth:`run_grid`.
-        executor: default fan-out backend — ``"thread"``, ``"process"``
-            or ``"auto"`` (see the module docstring).
+        seed: dataset generation seed (also seeds deterministic retry
+            jitter).
+        scale: dataset scale factor.
     """
 
     def __init__(
@@ -179,20 +172,10 @@ class GridRunner:
         *,
         seed: int = 1,
         scale: float = 1.0,
-        store: ArtifactStore | None = None,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> None:
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
-            )
         self.context = context or PlatformContext()
         self.seed = seed
         self.scale = scale
-        self.store = store
-        self.jobs = max(1, jobs)
-        self.executor = executor
         self.results: dict[GridKey, object] = {}
         self._graphs: dict[str, HeteroGraph] = {}
         self._artifacts: dict[str, DatasetArtifacts] = {}
@@ -202,7 +185,7 @@ class GridRunner:
         # (not yet warmed) dataset build it once, not racily twice.
         self._build_locks: dict[str, threading.Lock] = {}
         # Published shared-memory segments (process backend), one per
-        # dataset, reused across run_grid calls. The finalizer unlinks
+        # dataset, reused across run_cells calls. The finalizer unlinks
         # them when the runner dies — including interpreter exit and
         # KeyboardInterrupt (weakref.finalize registers with atexit).
         self._segments: dict[str, object] = {}
@@ -349,47 +332,9 @@ class GridRunner:
                 self._handles[dataset] = handle
         return self._handles[dataset]
 
-    def _store_key(self, platform: Platform, model: str, dataset: str) -> str:
-        # The workload digest covers the *resolved* generation recipe
-        # (scenario family + full parameter dict, or the catalog
-        # DatasetSpec) plus seed and scale, so changing any sweep
-        # parameter — or a family default — misses even when the
-        # textual dataset name is unchanged.
-        from repro.scenarios import workload_digest
-
-        digest = config_digest(
-            self.seed,
-            self.scale,
-            workload_digest(dataset, self.seed, self.scale),
-            *platform.digest_sources(),
-        )
-        return self.store.key_for(platform.name, model, dataset, digest)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def _fill_from_store(self, cell: GridKey) -> bool:
-        """Try to satisfy one cell from the persistent store."""
-        platform_name, model, dataset = cell
-        platform = self.platform(platform_name)
-        report = self.store.load(self._store_key(platform, model, dataset))
-        if report is None:
-            return False
-        with self._lock:
-            self.results.setdefault(cell, report)
-        return True
-
-    def _save_best_effort(
-        self, platform: Platform, model: str, dataset: str, report: object
-    ) -> None:
-        """Persist one report; a transiently failing write only costs
-        the cache entry, never the computed cell."""
-        try:
-            self.store.save(self._store_key(platform, model, dataset), report)
-        except Exception as exc:
-            if not RetryPolicy.is_transient(exc):
-                raise
 
     def run_cell(
         self,
@@ -397,11 +342,10 @@ class GridRunner:
         model: str,
         dataset: str,
         *,
-        probe_store: bool = True,
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
     ):
-        """Run (or fetch) one grid cell; memoized and store-backed.
+        """Run (or fetch) one grid cell; memoized.
 
         Transient failures (see :meth:`RetryPolicy.is_transient`) are
         retried up to ``retry.max_attempts`` with deterministic
@@ -419,8 +363,6 @@ class GridRunner:
         with self._lock:
             if key in self.results:
                 return self.results[key]
-        if self.store is not None and probe_store and self._fill_from_store(key):
-            return self.results[key]
         # Unknown platforms are configuration errors, never CellFailures.
         platform = self.platform(platform_name)
         started = time.perf_counter()
@@ -448,8 +390,6 @@ class GridRunner:
                         elapsed_s=time.perf_counter() - started,
                     )
                 raise
-        if self.store is not None:
-            self._save_best_effort(platform, model, dataset, report)
         with self._lock:
             return self.results.setdefault(key, report)
 
@@ -457,20 +397,20 @@ class GridRunner:
         self,
         cells: list[GridKey],
         *,
-        jobs: int | None = None,
-        executor: str | None = None,
+        jobs: int = 1,
+        executor: str = "thread",
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
     ):
         """Yield ``(cell, outcome)`` for every cell, in completion order.
 
-        The one fan-out primitive behind :meth:`run_grid` and
-        ``Session.run_iter``: serial, thread-pool and process-pool
+        The one fan-out primitive behind ``Session.run_iter`` and
+        ``Session.compute_cells``: serial, thread-pool and process-pool
         execution share its contract — every cell yields exactly once
         with a report or (``on_error="collect"``) a
-        :class:`CellFailure`; reports are memoized and store-saved in
-        the parent process regardless of backend, so store bytes and
-        memo contents are identical to a serial run.
+        :class:`CellFailure`; reports are memoized in the parent
+        process regardless of backend, so memo contents (and the
+        session's store bytes) are identical to a serial run.
 
         Callers must have warmed the artifacts of every cell's dataset
         (:meth:`warm_artifacts`); in collect mode, cells whose dataset
@@ -484,10 +424,7 @@ class GridRunner:
             raise ValueError(
                 f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
             )
-        jobs = self.jobs if jobs is None else max(1, jobs)
-        mode = resolve_executor(
-            self.executor if executor is None else executor, jobs
-        )
+        mode = resolve_executor(executor, jobs)
         if jobs <= 1 or len(cells) <= 1:
             mode = "serial"
 
@@ -501,11 +438,7 @@ class GridRunner:
             try:
                 futures = {
                     pool.submit(
-                        self.run_cell,
-                        *cell,
-                        probe_store=False,
-                        retry=retry,
-                        on_error=on_error,
+                        self.run_cell, *cell, retry=retry, on_error=on_error
                     ): cell
                     for cell in cells
                 }
@@ -518,9 +451,7 @@ class GridRunner:
                 pool.shutdown(wait=True, cancel_futures=True)
             return
         for cell in cells:
-            yield cell, self.run_cell(
-                *cell, probe_store=False, retry=retry, on_error=on_error
-            )
+            yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
 
     def _run_cells_process(
         self,
@@ -545,9 +476,7 @@ class GridRunner:
         local = [c for c in cells if c[2] not in handles]
         remote = [c for c in cells if c[2] in handles]
         for cell in local:
-            yield cell, self.run_cell(
-                *cell, probe_store=False, retry=retry, on_error=on_error
-            )
+            yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
         if not remote:
             return
 
@@ -578,90 +507,11 @@ class GridRunner:
                 for future in done:
                     cell, outcome = future.result()
                     if not isinstance(outcome, CellFailure):
-                        # Memoization and the store write happen here,
-                        # in the parent — exactly where the serial and
-                        # thread paths do them — so the persisted
-                        # bytes cannot depend on the backend.
-                        if self.store is not None:
-                            self._save_best_effort(
-                                self.platform(cell[0]),
-                                cell[1],
-                                cell[2],
-                                outcome,
-                            )
+                        # Memoization happens here, in the parent —
+                        # exactly where the serial and thread paths do
+                        # it — so the memo cannot depend on the backend.
                         with self._lock:
                             outcome = self.results.setdefault(cell, outcome)
                     yield cell, outcome
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def run_grid(
-        self,
-        platforms: tuple[str, ...],
-        models: tuple[str, ...],
-        datasets: tuple[str, ...],
-        *,
-        jobs: int | None = None,
-        executor: str | None = None,
-        on_error: str = "raise",
-        retry: RetryPolicy | None = None,
-    ) -> dict[GridKey, object]:
-        """Populate (and return) results for a full grid.
-
-        Store hits are resolved first (a fully warm store loads every
-        report without generating a single graph). For the remaining
-        cells the per-dataset artifacts are built before any cell runs
-        (they are the shared state; with ``jobs > 1`` distinct
-        datasets warm concurrently), then the cells fan out through
-        :meth:`run_cells` on the thread or process backend.
-
-        With ``on_error="raise"`` (default) the first cell failure
-        aborts the run. With ``on_error="collect"`` every cell runs to
-        a terminal outcome and the returned mapping holds a report
-        *or* a :class:`CellFailure` per cell — one bad cell costs
-        exactly one entry, never the fan-out. Results are keyed by
-        ``(platform, model, dataset)`` and independent of completion
-        order and backend.
-        """
-        if on_error not in _ON_ERROR:
-            raise ValueError(
-                f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
-            )
-        # Resolve every platform up front so an unknown name fails
-        # before any simulation work starts.
-        for name in platforms:
-            self.platform(name)
-        cells = list(
-            dict.fromkeys(
-                (p, m, d)
-                for p in platforms
-                for m in models
-                for d in datasets
-            )
-        )
-        jobs = self.jobs if jobs is None else max(1, jobs)
-        pending = [c for c in cells if c not in self.results]
-        if self.store is not None:
-            pending = [c for c in pending if not self._fill_from_store(c)]
-        failures: dict[GridKey, CellFailure] = {}
-        if pending:
-            # In collect mode a failed warm-up degrades to per-cell
-            # failures (each cell retries the build under its own
-            # retry budget); in raise mode it aborts, naming the
-            # dataset.
-            self.warm_artifacts(
-                [d for _, _, d in pending], jobs=jobs, errors=on_error
-            )
-            for cell, outcome in self.run_cells(
-                pending,
-                jobs=jobs,
-                executor=executor,
-                retry=retry,
-                on_error=on_error,
-            ):
-                if isinstance(outcome, CellFailure):
-                    failures[cell] = outcome
-        return {
-            c: self.results[c] if c in self.results else failures[c]
-            for c in cells
-        }

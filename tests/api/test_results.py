@@ -193,20 +193,18 @@ class TestThrashingReport:
 
 
 class TestOtherReports:
-    def test_dataset_stats_row_dict_access(self):
+    def test_dataset_stats_round_trip(self):
         row = DatasetStatRow(dataset="acm", vertex_type="paper",
                              vertices=10, feature_dim=4)
-        assert row["vertices"] == 10
         report = DatasetStatsReport(rows=(row,), edges={"acm": 5})
         assert len(report) == 1
         assert report[0] is row
         assert DatasetStatsReport.from_dict(report.to_dict()) == report
 
-    def test_system_config_legacy_keys(self):
-        report = SystemConfigReport(hihgnn={"peak_tflops": 16.38},
-                                    gdr_hgnn={"fifo_kb": 8.0})
-        assert report["hihgnn"]["peak_tflops"] == 16.38
-        assert report["gdr-hgnn"]["fifo_kb"] == 8.0
+    def test_system_config_from_configs(self):
+        report = SystemConfigReport.from_configs()
+        assert report.hihgnn["peak_tflops"] == pytest.approx(16.38)
+        assert report.gdr_hgnn["fifo_kb"] == pytest.approx(8.0)
         assert SystemConfigReport.from_dict(report.to_dict()) == report
 
     def test_area_report_round_trip(self):

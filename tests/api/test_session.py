@@ -175,6 +175,50 @@ class TestStore:
         assert not warm.runner._artifacts
         assert warm_grid == cold_grid
 
+    def test_store_round_trip_counts(self, tmp_path):
+        from repro.platforms import ArtifactStore
+
+        spec = small_spec()
+        cold_grid = Session(spec, store=ArtifactStore(tmp_path)).run()
+
+        # A warm run asked to fan out still computes nothing.
+        warm = Session(spec, store=ArtifactStore(tmp_path), jobs=4)
+        warm_grid = warm.run()
+        assert warm.store.stats.hits == spec.grid_size
+        assert (warm.store.stats.misses, warm.store.stats.puts) == (0, 0)
+        assert not warm.runner.results
+        assert not warm.runner._graphs
+        assert warm_grid == cold_grid
+
+    def test_entries_keyed_by_platform_config(self, tmp_path):
+        import dataclasses
+
+        from repro.platforms import ArtifactStore
+
+        spec = small_spec(platforms=("hihgnn",), datasets=("acm",))
+        Session(spec, store=ArtifactStore(tmp_path)).run()
+
+        # Same config: hit. Different accelerator config: miss.
+        hit = Session(spec, store=ArtifactStore(tmp_path))
+        hit.run()
+        assert (hit.store.stats.hits, hit.store.stats.misses) == (1, 0)
+        small = dataclasses.replace(spec.accelerator, na_buffer_bytes=1 << 20)
+        miss = Session(
+            spec.replace(accelerator=small), store=ArtifactStore(tmp_path)
+        )
+        miss.run()
+        assert (miss.store.stats.hits, miss.store.stats.misses) == (0, 1)
+
+    def test_entries_keyed_by_seed_and_scale(self, tmp_path):
+        from repro.platforms import ArtifactStore
+
+        spec = small_spec(platforms=("t4",), datasets=("acm",))
+        Session(spec, store=ArtifactStore(tmp_path)).run()
+        for changed in (spec.replace(seed=4), spec.replace(scale=0.1)):
+            other = Session(changed, store=ArtifactStore(tmp_path))
+            other.run()
+            assert other.store.stats.hits == 0
+
     def test_result_schema_bump_invalidates(self, tmp_path, monkeypatch):
         from repro.platforms import ArtifactStore
 

@@ -165,12 +165,10 @@ class TestReportRename:
             report.fifo_pushes / report.cycles
         )
 
-    def test_deprecated_alias_warns_and_matches(self, make_semantic):
+    def test_deprecated_alias_removed(self, make_semantic):
         sg = make_semantic(12, 12, num_edges=50, seed=12)
         _, report = Decoupler().run(sg)
-        with pytest.warns(DeprecationWarning, match="pushes_per_cycle"):
-            legacy = report.edges_per_cycle_achieved
-        assert legacy == report.pushes_per_cycle_achieved
+        assert not hasattr(report, "edges_per_cycle_achieved")
 
     def test_zero_cycles_report(self):
         from repro.frontend.decoupler import DecouplerReport

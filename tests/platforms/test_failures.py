@@ -18,8 +18,15 @@ TINY = "uniform:num_dst=16,degree=2"
 TINY2 = "thrash:working_set=32,num_dst=4"
 
 
-def tiny_runner(**kwargs) -> GridRunner:
-    return GridRunner(seed=5, scale=1.0, **kwargs)
+def tiny_runner() -> GridRunner:
+    return GridRunner(seed=5, scale=1.0)
+
+
+def fan_out(runner, datasets, on_error="raise"):
+    """Warm and fan out ``t4/rgcn`` over ``datasets``, as Session does."""
+    runner.warm_artifacts(datasets, errors=on_error)
+    cells = [("t4", "rgcn", dataset) for dataset in datasets]
+    return dict(runner.run_cells(cells, on_error=on_error))
 
 
 class TestRetryPolicy:
@@ -193,7 +200,7 @@ class TestRunCellIsolation:
         with pytest.raises(ValueError, match="on_error"):
             runner.run_cell("t4", "rgcn", TINY, on_error="ignore")
         with pytest.raises(ValueError, match="on_error"):
-            runner.run_grid(("t4",), ("rgcn",), (TINY,), on_error="ignore")
+            next(runner.run_cells([("t4", "rgcn", TINY)], on_error="ignore"))
         with pytest.raises(ValueError, match="errors"):
             runner.warm_artifacts([TINY], errors="ignore")
 
@@ -232,12 +239,10 @@ class TestWarmArtifacts:
         assert isinstance(failures["no-such-dataset"], ValueError)
 
 
-class TestRunGridIsolation:
+class TestRunCellsIsolation:
     def test_one_bad_dataset_costs_only_its_cells(self):
         runner = tiny_runner()
-        grid = runner.run_grid(
-            ("t4",), ("rgcn",), (TINY, "no-such-dataset"), on_error="collect"
-        )
+        grid = fan_out(runner, (TINY, "no-such-dataset"), on_error="collect")
         assert len(grid) == 2
         good = grid[("t4", "rgcn", TINY)]
         bad = grid[("t4", "rgcn", "no-such-dataset")]
@@ -251,9 +256,7 @@ class TestRunGridIsolation:
             [FaultRule("platform.simulate", match=TINY2)]
         )
         with plan:
-            grid = runner.run_grid(
-                ("t4",), ("rgcn",), (TINY, TINY2), on_error="collect"
-            )
+            grid = fan_out(runner, (TINY, TINY2), on_error="collect")
         assert not isinstance(grid[("t4", "rgcn", TINY)], CellFailure)
         assert isinstance(grid[("t4", "rgcn", TINY2)], CellFailure)
         assert plan.fired_at("platform.simulate") >= 1
@@ -262,4 +265,4 @@ class TestRunGridIsolation:
         runner = tiny_runner()
         with FaultPlan([FaultRule("platform.simulate")]):
             with pytest.raises(InjectedFault):
-                runner.run_grid(("t4",), ("rgcn",), (TINY,))
+                fan_out(runner, (TINY,))

@@ -83,17 +83,20 @@ class TestResolvers:
 
 
 class TestRunnerProcessBackend:
-    def make_runner(self, **kwargs):
+    CELLS = [(p, "rgcn", d) for p in ("t4", "hihgnn") for d in TINY_DATASETS]
+
+    def make_runner(self):
         context = PlatformContext(model_config=TINY_MODEL)
-        kwargs.setdefault("seed", 7)
-        kwargs.setdefault("scale", 1.0)
-        return GridRunner(context, **kwargs)
+        runner = GridRunner(context, seed=7, scale=1.0)
+        runner.warm_artifacts(TINY_DATASETS)
+        return runner
 
     def test_process_grid_equals_serial(self):
-        platforms, models = ("t4", "hihgnn"), ("rgcn",)
-        serial = self.make_runner().run_grid(platforms, models, TINY_DATASETS)
-        worker = self.make_runner(executor="process")
-        parallel = worker.run_grid(platforms, models, TINY_DATASETS, jobs=2)
+        serial = dict(self.make_runner().run_cells(self.CELLS))
+        worker = self.make_runner()
+        parallel = dict(
+            worker.run_cells(self.CELLS, jobs=2, executor="process")
+        )
         worker.close()
         assert serial.keys() == parallel.keys()
         for key, report in serial.items():
@@ -102,14 +105,10 @@ class TestRunnerProcessBackend:
             ), key
 
     def test_run_cells_yields_each_cell_once(self):
-        runner = self.make_runner(executor="process")
-        cells = [
-            (p, "rgcn", d) for p in ("t4", "hihgnn") for d in TINY_DATASETS
-        ]
-        runner.warm_artifacts([c[2] for c in cells])
-        seen = list(runner.run_cells(cells, jobs=2))
+        runner = self.make_runner()
+        seen = list(runner.run_cells(self.CELLS, jobs=2, executor="process"))
         runner.close()
-        assert sorted(key for key, _ in seen) == sorted(cells)
+        assert sorted(key for key, _ in seen) == sorted(self.CELLS)
 
 
 class TestSessionProcessBackend:

@@ -1,12 +1,9 @@
-"""GridRunner: parallel/serial equality, memoization, store wiring."""
-
-import dataclasses
+"""GridRunner: parallel/serial equality, memoization, shared artifacts."""
 
 import pytest
 
-from repro.analysis.experiments import EvaluationConfig, EvaluationSuite
 from repro.models.base import ModelConfig
-from repro.platforms import ArtifactStore, GridRunner, PlatformContext
+from repro.platforms import GridRunner, PlatformContext
 
 SMALL_MODEL = ModelConfig(hidden_dim=32, num_heads=4, embed_dim=8)
 PLATFORMS = ("t4", "a100", "hihgnn", "hihgnn+gdr")
@@ -14,11 +11,16 @@ MODELS = ("rgcn",)
 DATASETS = ("acm", "imdb")
 
 
-def make_runner(**kwargs):
+def make_runner():
     context = PlatformContext(model_config=SMALL_MODEL)
-    kwargs.setdefault("seed", 3)
-    kwargs.setdefault("scale", 0.08)
-    return GridRunner(context, **kwargs)
+    return GridRunner(context, seed=3, scale=0.08)
+
+
+def run_all(runner, platforms=PLATFORMS, datasets=DATASETS, *, jobs=1):
+    """Warm, then fan out every cell: the sequence Session.run_iter uses."""
+    cells = [(p, m, d) for p in platforms for m in MODELS for d in datasets]
+    runner.warm_artifacts(datasets, jobs=jobs)
+    return dict(runner.run_cells(cells, jobs=jobs))
 
 
 def report_fingerprint(report):
@@ -36,10 +38,8 @@ def report_fingerprint(report):
 
 class TestGridRunner:
     def test_parallel_equals_serial(self):
-        serial = make_runner().run_grid(PLATFORMS, MODELS, DATASETS)
-        parallel = make_runner().run_grid(
-            PLATFORMS, MODELS, DATASETS, jobs=4
-        )
+        serial = run_all(make_runner())
+        parallel = run_all(make_runner(), jobs=4)
         assert serial.keys() == parallel.keys()
         for key, report in serial.items():
             assert report_fingerprint(report) == report_fingerprint(
@@ -50,130 +50,35 @@ class TestGridRunner:
         runner = make_runner()
         first = runner.run_cell("t4", "rgcn", "acm")
         assert runner.run_cell("t4", "rgcn", "acm") is first
-        grid = runner.run_grid(("t4",), MODELS, ("acm",))
+        grid = run_all(runner, ("t4",), ("acm",))
         assert grid[("t4", "rgcn", "acm")] is first
 
     def test_duplicate_cells_deduped(self):
         runner = make_runner()
-        grid = runner.run_grid(("t4", "t4"), MODELS, ("acm", "acm"), jobs=2)
-        assert list(grid) == [("t4", "rgcn", "acm")]
-        assert len(runner.results) == 1
+        cell = ("t4", "rgcn", "acm")
+        runner.warm_artifacts(("acm",), jobs=2)
+        outcomes = [
+            report for _, report in runner.run_cells([cell, cell], jobs=2)
+        ]
+        assert len(outcomes) == 2
+        assert outcomes[0] is outcomes[1]
+        assert list(runner.results) == [cell]
 
     def test_unknown_platform_fails_before_any_work(self):
         runner = make_runner()
+        # A configuration error, never a collected CellFailure.
         with pytest.raises(ValueError, match="unknown platform"):
-            runner.run_grid(("t4", "nope"), MODELS, DATASETS)
+            list(runner.run_cells(
+                [("nope", "rgcn", "acm")], on_error="collect"
+            ))
         assert not runner.results
+        assert not runner._graphs
+        assert not runner._artifacts
 
     def test_artifacts_shared_across_platforms(self):
         runner = make_runner()
-        runner.run_grid(("t4", "hihgnn"), MODELS, ("acm",), jobs=2)
+        run_all(runner, ("t4", "hihgnn"), ("acm",), jobs=2)
         assert runner.artifacts("acm") is runner.artifacts("acm")
         sgs = runner.artifacts("acm").semantic_graphs
         for sg in sgs:
             assert sg._na_artifact is not None
-
-    def test_store_round_trip_counts(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        cold = make_runner(store=store)
-        cold.run_grid(PLATFORMS, MODELS, DATASETS, jobs=2)
-        cells = len(PLATFORMS) * len(MODELS) * len(DATASETS)
-        assert store.stats.misses == cells
-        assert store.stats.puts == cells
-        assert store.stats.hits == 0
-
-        warm_store = ArtifactStore(tmp_path)
-        warm = make_runner(store=warm_store)
-        results = warm.run_grid(PLATFORMS, MODELS, DATASETS)
-        # Every cell is served from the store: no simulation work, no
-        # graph generation, no topology artifacts.
-        assert warm_store.stats.hits == cells
-        assert warm_store.stats.misses == 0
-        assert not warm._graphs
-        assert not warm._artifacts
-        for key, report in results.items():
-            assert report_fingerprint(report) == report_fingerprint(
-                cold.results[key]
-            )
-
-    def test_store_entries_keyed_by_config(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        make_runner(store=store).run_cell("hihgnn", "rgcn", "acm")
-        assert store.stats.misses == 1
-
-        # Same config: hit. Different accelerator config: miss.
-        hit = ArtifactStore(tmp_path)
-        make_runner(store=hit).run_cell("hihgnn", "rgcn", "acm")
-        assert (hit.stats.hits, hit.stats.misses) == (1, 0)
-
-        miss = ArtifactStore(tmp_path)
-        small = dataclasses.replace(
-            PlatformContext().accelerator, na_buffer_bytes=1 << 20
-        )
-        runner = GridRunner(
-            PlatformContext(accelerator=small, model_config=SMALL_MODEL),
-            seed=3,
-            scale=0.08,
-            store=miss,
-        )
-        runner.run_cell("hihgnn", "rgcn", "acm")
-        assert (miss.stats.hits, miss.stats.misses) == (0, 1)
-
-    def test_store_entries_keyed_by_seed_and_scale(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        make_runner(store=store).run_cell("t4", "rgcn", "acm")
-        other = ArtifactStore(tmp_path)
-        make_runner(store=other, seed=4).run_cell("t4", "rgcn", "acm")
-        assert other.stats.hits == 0
-        third = ArtifactStore(tmp_path)
-        make_runner(store=third, scale=0.1).run_cell("t4", "rgcn", "acm")
-        assert third.stats.hits == 0
-
-
-class TestSuiteFacade:
-    def test_suite_warm_store_skips_all_simulation(self, tmp_path):
-        config = EvaluationConfig(
-            datasets=DATASETS,
-            models=MODELS,
-            seed=3,
-            scale=0.08,
-            model_config=SMALL_MODEL,
-        )
-        cold = EvaluationSuite(config, store=ArtifactStore(tmp_path))
-        cold.run_grid(jobs=2)
-        f7 = cold.figure7()
-
-        warm = EvaluationSuite(config, store=ArtifactStore(tmp_path))
-        warm.run_grid()
-        cells = len(PLATFORMS) * len(MODELS) * len(DATASETS)
-        assert warm.store.stats.hits == cells
-        assert warm.store.stats.misses == 0
-        assert not warm.runner._graphs  # nothing was regenerated
-        assert warm.figure7() == f7
-
-    def test_suite_parallel_equals_serial_tables(self):
-        config = dict(
-            datasets=DATASETS,
-            models=MODELS,
-            seed=3,
-            scale=0.08,
-            model_config=SMALL_MODEL,
-        )
-        serial = EvaluationSuite(EvaluationConfig(**config))
-        serial.run_grid()
-        parallel = EvaluationSuite(EvaluationConfig(**config), jobs=4)
-        parallel.run_grid()
-        assert serial.figure7() == parallel.figure7()
-        assert serial.figure8() == parallel.figure8()
-        assert serial.figure9() == parallel.figure9()
-
-    def test_config_validates_datasets_eagerly(self):
-        with pytest.raises(ValueError, match="unknown dataset 'aacm'"):
-            EvaluationConfig(datasets=("aacm",))
-
-    def test_config_validates_models_eagerly(self):
-        with pytest.raises(ValueError, match="unknown model 'rgnn'"):
-            EvaluationConfig(models=("rgnn",))
-
-    def test_config_accepts_model_aliases(self):
-        EvaluationConfig(models=("RGCN", "simple-hgn"))

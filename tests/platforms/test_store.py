@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.graph.hetero import HeteroGraph, Relation
-from repro.platforms import ArtifactStore, GridRunner, config_digest
+from repro.api import ExperimentSpec, Session
+from repro.platforms import ArtifactStore, config_digest
 from repro.platforms.store import code_version
 from repro.scenarios import ScenarioParam, register_scenario, unregister_scenario
 
@@ -115,41 +116,39 @@ class TestStorage:
 class TestScenarioInvalidation:
     """A changed scenario parameter (scale/skew/seed) must be a miss.
 
-    The cell address embeds :func:`repro.scenarios.workload_digest` —
+    The cell digest embeds :func:`repro.scenarios.workload_digest` —
     a digest of the *resolved* generation recipe — so invalidation
     holds even when the textual dataset name is unchanged (most
-    dangerously: when a family's parameter *default* changes).
+    dangerously: when a family's parameter *default* changes). The
+    store address and :meth:`Session.cell_content_key` share that
+    digest, so checking the content key covers both.
     """
 
-    def _key(self, tmp_path, dataset, *, seed=1, scale=1.0):
-        runner = GridRunner(
-            seed=seed, scale=scale, store=ArtifactStore(tmp_path)
-        )
-        return runner._store_key(runner.platform("t4"), "rgcn", dataset)
+    def _key(self, dataset, *, seed=1, scale=1.0):
+        spec = ExperimentSpec(seed=seed, scale=scale)
+        return Session(spec).cell_content_key(("t4", "rgcn", dataset))
 
-    def test_changed_sweep_parameter_is_a_new_key(self, tmp_path):
-        base = self._key(tmp_path, "skew:exponent=1.0")
-        assert self._key(tmp_path, "skew:exponent=1.5") != base
-        assert self._key(tmp_path, "skew:exponent=1.0,num_src=4096") != base
+    def test_changed_sweep_parameter_is_a_new_key(self):
+        base = self._key("skew:exponent=1.0")
+        assert self._key("skew:exponent=1.5") != base
+        assert self._key("skew:exponent=1.0,num_src=4096") != base
 
-    def test_changed_seed_and_scale_are_new_keys(self, tmp_path):
-        base = self._key(tmp_path, "skew:exponent=1.0")
-        assert self._key(tmp_path, "skew:exponent=1.0", seed=2) != base
-        assert self._key(tmp_path, "skew:exponent=1.0", scale=0.5) != base
+    def test_changed_seed_and_scale_are_new_keys(self):
+        base = self._key("skew:exponent=1.0")
+        assert self._key("skew:exponent=1.0", seed=2) != base
+        assert self._key("skew:exponent=1.0", scale=0.5) != base
 
-    def test_same_sweep_point_is_the_same_key(self, tmp_path):
-        assert self._key(tmp_path, "skew:exponent=1.0") == self._key(
-            tmp_path, "skew:exponent=1.0"
+    def test_same_sweep_point_is_the_same_key(self):
+        assert self._key("skew:exponent=1.0") == self._key(
+            "skew:exponent=1.0"
         )
 
-    def test_catalog_datasets_keep_distinct_keys(self, tmp_path):
-        assert self._key(tmp_path, "acm") != self._key(tmp_path, "imdb")
-        assert self._key(tmp_path, "acm") == self._key(tmp_path, "acm")
-        assert self._key(tmp_path, "acm", seed=2) != self._key(
-            tmp_path, "acm"
-        )
+    def test_catalog_datasets_keep_distinct_keys(self):
+        assert self._key("acm") != self._key("imdb")
+        assert self._key("acm") == self._key("acm")
+        assert self._key("acm", seed=2) != self._key("acm")
 
-    def test_changed_family_default_is_a_miss(self, tmp_path):
+    def test_changed_family_default_is_a_miss(self):
         """Same name, silently changed default: the dangerous case."""
 
         def make(default):
@@ -165,12 +164,12 @@ class TestScenarioInvalidation:
 
         make(8)
         try:
-            old_key = self._key(tmp_path, "tmp-inval")
+            old_key = self._key("tmp-inval")
         finally:
             unregister_scenario("tmp-inval")
         make(16)
         try:
-            new_key = self._key(tmp_path, "tmp-inval")
+            new_key = self._key("tmp-inval")
         finally:
             unregister_scenario("tmp-inval")
         assert old_key != new_key
