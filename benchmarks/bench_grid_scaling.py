@@ -1,22 +1,24 @@
-"""Grid scaling: the parallel runner's wall-clock across executors.
+"""Grid scaling: the parallel runner's wall-clock across worker counts.
 
-The multicore tentpole claims two things: the process backend returns
-*bit-identical* results to a serial run, and it scales when cores are
-available. This benchmark measures both over the full catalog grid
-(every default platform x model x dataset cell, published scale):
+``jobs`` alone picks the fan-out: ``jobs=1`` runs serially in-process,
+``jobs>1`` on the process pool over shared-memory artifacts. The pool
+claims two things: it returns *bit-identical* results to a serial run,
+and it scales when cores are available. This benchmark measures both
+over the full catalog grid (every default platform x model x dataset
+cell, published scale):
 
 1. A serial pass (``jobs=1``) establishes the wall-clock baseline and
    the true per-cell latency distribution (in a serial run the gap
    between consecutive results *is* the cell's cold wall time).
-2. Each ``(executor, jobs)`` configuration reruns the same grid from a
-   fresh session and records wall-clock, speedup over serial, and
-   parallel efficiency ``speedup / jobs``.
-3. Every configuration's grid is compared byte-for-byte (canonical
-   JSON) against the serial baseline -- a scaling number from a run
-   that computed different results would be meaningless.
+2. Each ``jobs`` value reruns the same grid from a fresh session and
+   records wall-clock, speedup over serial, and parallel efficiency
+   ``speedup / jobs`` (the ``jobs=1`` row is the serial pass itself).
+3. Every row's grid is compared byte-for-byte (canonical JSON)
+   against the serial baseline -- a scaling number from a run that
+   computed different results would be meaningless.
 
 The host's CPU count is recorded alongside the numbers: on a single
-core the process backend *cannot* beat serial (there is nothing to
+core the process pool *cannot* beat serial (there is nothing to
 run in parallel on, and fork + shared-memory attach add overhead), so
 efficiencies below one on a ``"cpus": 1`` record are the honest
 expected outcome, not a regression. The JSON exists so the trajectory
@@ -24,8 +26,8 @@ is tracked wherever the suite runs.
 
 Standalone: ``python benchmarks/bench_grid_scaling.py [--scale 1.0]
 [--jobs 1,2,4,8] [--repeats 2] [--output BENCH_grid.json]``.
-Also runs under pytest as a smoke test (both executors, bit-identical
-to serial on a small grid).
+Also runs under pytest as a smoke test (``jobs`` 1 and 4 bit-identical
+on a small grid).
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ def _canonical_json(grid) -> str:
     return json.dumps(grid.to_dict(), sort_keys=True)
 
 
-def _timed_run(spec: ExperimentSpec, *, jobs: int, executor: str):
+def _timed_run(spec: ExperimentSpec, *, jobs: int):
     """One cold grid run; returns (wall_s, per_result_gaps, canonical_json)."""
-    with Session(spec, jobs=jobs, executor=executor) as session:
+    with Session(spec, jobs=jobs) as session:
         gaps = []
         last = start = time.perf_counter()
         for _ in session.run_iter():
@@ -61,10 +63,10 @@ def _timed_run(spec: ExperimentSpec, *, jobs: int, executor: str):
     return wall, gaps, payload
 
 
-def _best_run(spec, *, jobs, executor, repeats):
+def _best_run(spec, *, jobs, repeats):
     best = (float("inf"), None, None)
     for _ in range(repeats):
-        result = _timed_run(spec, jobs=jobs, executor=executor)
+        result = _timed_run(spec, jobs=jobs)
         if result[0] < best[0]:
             best = result
     return best
@@ -74,25 +76,23 @@ def run_benchmark(scale: float, jobs_list: list[int], repeats: int) -> dict:
     spec = ExperimentSpec(scale=scale)
     num_cells = len(spec.platforms) * len(spec.models) * len(spec.datasets)
 
-    serial_wall, serial_gaps, serial_payload = _best_run(
-        spec, jobs=1, executor="thread", repeats=repeats
-    )
+    best = {
+        jobs: _best_run(spec, jobs=jobs, repeats=repeats)
+        for jobs in dict.fromkeys([1, *jobs_list])
+    }
+    serial_wall, serial_gaps, serial_payload = best[1]
 
     runs = []
-    for executor in ("thread", "process"):
-        for jobs in jobs_list:
-            wall, _, payload = _best_run(
-                spec, jobs=jobs, executor=executor, repeats=repeats
-            )
-            speedup = serial_wall / wall
-            runs.append({
-                "executor": executor,
-                "jobs": jobs,
-                "wall_s": wall,
-                "speedup_vs_serial": speedup,
-                "parallel_efficiency": speedup / jobs,
-                "identical_to_serial": payload == serial_payload,
-            })
+    for jobs in jobs_list:
+        wall, _, payload = best[jobs]
+        speedup = serial_wall / wall
+        runs.append({
+            "jobs": jobs,
+            "wall_s": wall,
+            "speedup_vs_serial": speedup,
+            "parallel_efficiency": speedup / jobs,
+            "identical_to_serial": payload == serial_payload,
+        })
 
     return {
         "benchmark": "grid_scaling",
@@ -118,7 +118,7 @@ def run_benchmark(scale: float, jobs_list: list[int], repeats: int) -> dict:
 
 
 def test_grid_scaling_identical(benchmark):
-    """Perf smoke: both executors reproduce the serial grid exactly."""
+    """Perf smoke: the process pool reproduces the serial grid exactly."""
     from benchmarks.conftest import run_once
 
     spec = ExperimentSpec(
@@ -127,17 +127,14 @@ def test_grid_scaling_identical(benchmark):
 
     def measure():
         out = {}
-        for executor, jobs in (("thread", 1), ("thread", 4), ("process", 4)):
-            _, gaps, payload = _timed_run(spec, jobs=jobs, executor=executor)
-            out[(executor, jobs)] = (len(gaps), payload)
+        for jobs in (1, 4):
+            _, gaps, payload = _timed_run(spec, jobs=jobs)
+            out[jobs] = (len(gaps), payload)
         return out
 
     results = run_once(benchmark, measure)
-    count, serial_payload = results[("thread", 1)]
-    assert count == 6
-    for (executor, jobs), (n, payload) in results.items():
-        assert n == count, (executor, jobs)
-        assert payload == serial_payload, (executor, jobs)
+    assert results[1][0] == results[4][0] == 6
+    assert results[4][1] == results[1][1]
 
 
 def main() -> None:
@@ -164,7 +161,7 @@ def main() -> None:
     )
     for run in results["runs"]:
         print(
-            f"  {run['executor']:7s} jobs={run['jobs']}: "
+            f"  jobs={run['jobs']}: "
             f"{run['wall_s']:6.2f}s  {run['speedup_vs_serial']:4.2f}x  "
             f"eff {run['parallel_efficiency']:4.2f}  "
             f"identical={run['identical_to_serial']}"

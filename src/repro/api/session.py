@@ -65,12 +65,13 @@ class Session:
         store: optional persistent artifact store; when given, results
             survive the process and later sessions (or concurrent CLI
             invocations) are warm.
-        jobs: default worker count for grid fan-out (1 = serial).
-        executor: default fan-out backend — ``"thread"`` (shared
-            address space), ``"process"`` (true multicore over
-            shared-memory artifacts) or ``"auto"`` (process when
-            ``jobs > 1`` and the machine has more than one CPU).
-            Results are bit-identical across backends.
+        jobs: default worker count for grid fan-out: 1 runs serially
+            in-process, more runs a process pool over shared-memory
+            artifacts. Results are bit-identical either way.
+        executor: accepts only ``"process"`` (anything else raises
+            ``ValueError``) and changes nothing. It is kept because
+            the frozen ``perfbench`` suite still passes it; drop it
+            with the next benchmark change.
     """
 
     def __init__(
@@ -79,17 +80,16 @@ class Session:
         *,
         store: ArtifactStore | None = None,
         jobs: int = 1,
-        executor: str = "thread",
+        executor: str = "process",
     ) -> None:
-        if executor not in ("thread", "process", "auto"):
+        if executor != "process":
             raise ValueError(
-                "executor must be one of ('thread', 'process', 'auto'), "
-                f"got {executor!r}"
+                "executor must be 'process' (jobs picks serial or "
+                f"process fan-out), got {executor!r}"
             )
         self.spec = spec if spec is not None else ExperimentSpec()
         self.store = store
         self.jobs = max(1, int(jobs))
-        self.executor = executor
         self._workspaces: dict[object, _Workspace] = {}
         self._workspaces_lock = threading.Lock()
 
@@ -224,8 +224,8 @@ class Session:
         """Turn a runner outcome into a typed, persisted CellResult.
 
         Always runs in the parent process — also for cells simulated on
-        the process backend — so the store's bytes are identical no
-        matter which executor produced the report.
+        the process pool — so the store's bytes are identical no
+        matter how many workers produced the report.
         """
         if isinstance(outcome, CellFailure):
             return CellResult.from_failure(outcome)
@@ -316,39 +316,49 @@ class Session:
         *,
         spec: ExperimentSpec | None = None,
         jobs: int | None = None,
-        executor: str | None = None,
         retry: RetryPolicy | None = None,
         on_error: str = "collect",
     ) -> Iterator[tuple[GridKey, CellResult]]:
         """Compute the given cells, yielding ``(key, result)`` as each
         completes.
 
-        Unlike :meth:`run_iter` this takes an explicit cell list (the
-        service dispatcher batches cells from *many* client specs that
-        share a workspace), skips the warm peek (the caller already
-        peeked), and yields the grid key next to every result.
-        Artifacts are warmed first and finalization (persist + memo)
-        happens parent-side, so results are bit-identical to
-        :meth:`run` across thread and process backends. Abandoning the
-        generator tears the fan-out down synchronously, exactly like
-        :meth:`run_iter`.
+        The one execution block behind :meth:`run_iter` and the service
+        dispatcher (which batches cells from *many* client specs that
+        share a workspace). It takes an explicit cell list, skips the
+        warm peek (the caller already peeked), and yields the grid key
+        next to every result. Artifacts are warmed first and
+        finalization (persist + memo) happens parent-side, so results
+        are bit-identical to a serial :meth:`run` at any ``jobs``.
         """
         spec = self.spec if spec is None else spec
         workspace = self._workspace(spec)
         if not cells:
             return
         jobs = self.jobs if jobs is None else max(1, int(jobs))
+        # Topology artifacts are the state shared across workers: warm
+        # them before the fan-out so parallel runs stay bit-identical
+        # to serial ones (distinct datasets warm concurrently). The
+        # process pool publishes exactly these warmed artifacts to
+        # shared memory.
         workspace.runner.warm_artifacts(
             [dataset for _, _, dataset in cells],
             jobs=jobs,
+            # In collect mode a failed dataset build degrades to typed
+            # per-cell failures instead of aborting the stream.
             errors=on_error,
         )
+        # run_cells cancels not-yet-started cells when its generator is
+        # closed, waiting only for the ones already in flight. A
+        # consumer that abandons *this* generator (a disconnecting
+        # client dropping its stream) raises GeneratorExit at our yield
+        # — the explicit close() in the finally block propagates the
+        # abandonment inward *synchronously*, so pool shutdown happens
+        # here and now rather than whenever the inner generator is
+        # garbage collected (pending futures, worker processes and shm
+        # segments would otherwise outlive the consumer). run_iter
+        # closes this generator the same way.
         inner = workspace.runner.run_cells(
-            cells,
-            jobs=jobs,
-            executor=self.executor if executor is None else executor,
-            retry=retry,
-            on_error=on_error,
+            cells, jobs=jobs, retry=retry, on_error=on_error
         )
         try:
             for key, outcome in inner:
@@ -361,7 +371,6 @@ class Session:
         spec: ExperimentSpec | None = None,
         *,
         jobs: int | None = None,
-        executor: str | None = None,
         progress: ProgressCallback | None = None,
         on_error: str = "raise",
         retry: RetryPolicy | None = None,
@@ -370,12 +379,11 @@ class Session:
 
         Cached cells (session memo or store hits) are yielded first —
         without generating a single graph — then the remaining cells
-        fan out over the thread or process backend
-        (:meth:`GridRunner.run_cells`) and stream back in completion
-        order. The union of yielded cells always equals
-        ``spec.cells()``; only the order varies with ``jobs`` — the
-        results themselves are bit-identical across backends and
-        worker counts.
+        run through :meth:`compute_cells` (serially, or on the process
+        pool when ``jobs > 1``) and stream back in completion order.
+        The union of yielded cells always equals ``spec.cells()``; only
+        the order varies with ``jobs`` — the results themselves are
+        bit-identical across worker counts.
 
         With ``on_error="collect"`` cell failures are isolated: a
         failing cell yields ``CellResult(status="failed")`` (typed
@@ -395,7 +403,6 @@ class Session:
         for name in spec.platforms:
             workspace.runner.platform(name)
         cells = list(spec.cells())
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
         total = len(cells)
         done = 0
 
@@ -415,46 +422,20 @@ class Session:
                 yield emit(result)
         if not pending:
             return
-        # Topology artifacts are the state shared across workers: warm
-        # them before the fan-out so parallel runs stay bit-identical
-        # to serial ones (distinct datasets warm concurrently). The
-        # process backend publishes exactly these warmed artifacts to
-        # shared memory.
-        workspace.runner.warm_artifacts(
-            [dataset for _, _, dataset in pending],
-            jobs=jobs,
-            # In collect mode a failed dataset build degrades to typed
-            # per-cell failures instead of aborting the stream.
-            errors=on_error,
-        )
-        # run_cells cancels not-yet-started cells when its generator is
-        # closed, waiting only for the ones already in flight. A
-        # consumer that abandons *this* generator (a disconnecting
-        # client dropping its stream) raises GeneratorExit at our yield
-        # — the explicit close() in the finally block propagates the
-        # abandonment inward *synchronously*, so pool shutdown happens
-        # here and now rather than whenever the inner generator is
-        # garbage collected (pending futures, executor workers and shm
-        # segments would otherwise outlive the consumer).
-        inner = workspace.runner.run_cells(
-            pending,
-            jobs=jobs,
-            executor=self.executor if executor is None else executor,
-            retry=retry,
-            on_error=on_error,
+        computed = self.compute_cells(
+            pending, spec=spec, jobs=jobs, retry=retry, on_error=on_error
         )
         try:
-            for key, outcome in inner:
-                yield emit(self._finalize(workspace, spec, key, outcome))
+            for _, result in computed:
+                yield emit(result)
         finally:
-            inner.close()
+            computed.close()
 
     def run(
         self,
         spec: ExperimentSpec | None = None,
         *,
         jobs: int | None = None,
-        executor: str | None = None,
         progress: ProgressCallback | None = None,
         on_error: str = "raise",
         retry: RetryPolicy | None = None,
@@ -476,7 +457,6 @@ class Session:
         for result in self.run_iter(
             spec,
             jobs=jobs,
-            executor=executor,
             progress=progress,
             on_error=on_error,
             retry=retry,

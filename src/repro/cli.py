@@ -77,15 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated platform list "
                                "(default: the four paper platforms)")
     evaluate.add_argument("--jobs", default="1", metavar="N|auto",
-                          help="grid worker count (1 = serial, "
-                               "'auto' = CPU count)")
-    evaluate.add_argument("--executor", default="thread",
-                          choices=("thread", "process", "auto"),
-                          help="fan-out backend: 'thread' shares one "
-                               "address space, 'process' runs true "
-                               "multicore over shared-memory artifacts, "
-                               "'auto' picks process when --jobs > 1 "
-                               "and the machine is multicore; results "
+                          help="grid worker count (1 = serial, more = "
+                               "process pool over shared-memory "
+                               "artifacts, 'auto' = CPU count); results "
                                "are bit-identical either way")
     evaluate.add_argument("--no-cache", action="store_true",
                           help="skip the on-disk artifact store")
@@ -191,13 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8642,
                        help="listen port (0 = ephemeral; the resolved "
                             "port is printed on startup)")
-    serve.add_argument("--jobs", default="auto", metavar="N|auto",
+    serve.add_argument("--jobs", default="1", metavar="N|auto",
                        help="grid worker count shared by all clients "
-                            "(default: CPU count)")
-    serve.add_argument("--executor", default="thread",
-                       choices=("thread", "process", "auto"),
-                       help="fan-out backend (results are bit-identical "
-                            "either way)")
+                            "(default: 1 = serial; more = process pool, "
+                            "'auto' = CPU count)")
     serve.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk artifact store (no warm "
                             "cells across restarts)")
@@ -222,6 +213,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_jobs(text: str) -> int | None:
+    """``--jobs`` as a worker count; ``None`` after printing the error."""
+    from repro.platforms.runner import resolve_jobs
+
+    try:
+        if text.strip().lower() == "auto" or int(text) >= 1:
+            return resolve_jobs(text)
+    except ValueError:
+        pass
+    print(
+        f"error: --jobs must be an integer >= 1 or 'auto', got {text!r}",
+        file=sys.stderr,
+    )
+    return None
+
+
 def _emit_json(payload) -> int:
     """Print one deterministic JSON document (typed-result dict form)."""
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -241,15 +248,8 @@ def _cmd_evaluate(args) -> int:
     if args.max_retries < 0:
         print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
-    from repro.platforms.runner import resolve_jobs
-
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError:
-        print(
-            f"error: --jobs must be an integer or 'auto', got {args.jobs!r}",
-            file=sys.stderr,
-        )
+    jobs = _parse_jobs(args.jobs)
+    if jobs is None:
         return 2
     requested = (
         tuple(args.platforms.split(","))
@@ -278,9 +278,7 @@ def _cmd_evaluate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     store = None if args.no_cache else ArtifactStore(args.cache_dir)
-    session = Session(
-        spec, store=store, jobs=jobs, executor=args.executor
-    )
+    session = Session(spec, store=store, jobs=jobs)
 
     progress = None
     if args.progress:
@@ -662,22 +660,16 @@ def _cmd_serve(args) -> int:
 
     from repro.api import Session
     from repro.platforms import ArtifactStore
-    from repro.platforms.runner import resolve_jobs
     from repro.service import ReproServer, SimulationService
 
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError:
-        print(
-            f"error: --jobs must be an integer or 'auto', got {args.jobs!r}",
-            file=sys.stderr,
-        )
+    jobs = _parse_jobs(args.jobs)
+    if jobs is None:
         return 2
     if args.max_queue < 1:
         print("error: --max-queue must be >= 1", file=sys.stderr)
         return 2
     store = None if args.no_cache else ArtifactStore(args.cache_dir)
-    session = Session(store=store, jobs=jobs, executor=args.executor)
+    session = Session(store=store, jobs=jobs)
     service = SimulationService(
         session, max_queue_per_client=args.max_queue
     )
@@ -692,8 +684,7 @@ def _cmd_serve(args) -> int:
             await asyncio.sleep(0.01)
         print(
             f"repro service listening on http://{server.host}:{server.port} "
-            f"(jobs={jobs}, executor={args.executor}, "
-            f"store={'off' if store is None else store.root}) "
+            f"(jobs={jobs}, store={'off' if store is None else store.root}) "
             "-- SIGTERM drains gracefully",
             file=sys.stderr,
         )

@@ -8,32 +8,26 @@ behind :class:`~repro.api.session.Session`:
   cells out across workers),
 - platform instances resolved through the registry,
 - an in-memory memo of raw simulation reports,
-- a ``concurrent.futures`` thread or process pool for ``jobs > 1``.
+- a ``concurrent.futures`` process pool for ``jobs > 1``.
 
 The session owns everything above it: the persistent store, the grid
 order and the fan-out defaults, which it passes explicitly to
 :meth:`GridRunner.warm_artifacts` and :meth:`GridRunner.run_cells`.
 
-Two fan-out backends share one contract (``executor=``):
-
-- ``"thread"`` — workers share the address space; topology artifacts
-  are shared by reference. Bounded by the GIL for the pure-Python
-  parts of a simulation.
-- ``"process"`` — true multicore. The parent warms each dataset once,
-  publishes its topology arrays into shared memory
-  (:mod:`repro.platforms.shm`), and workers attach them as zero-copy
-  read-only views — no artifact is ever rebuilt or pickled per cell.
-  Memoization stays in the parent, and so does the session's store
-  I/O, so the store's bytes are identical to a serial run.
-- ``"auto"`` — ``"process"`` when ``jobs > 1`` and the machine has
-  more than one CPU, else ``"thread"``.
+``jobs`` alone picks the fan-out: ``jobs == 1`` (or a single cell)
+runs serially in-process; ``jobs > 1`` is true multicore. The parent
+warms each dataset once, publishes its topology arrays into shared
+memory (:mod:`repro.platforms.shm`), and workers attach them as
+zero-copy read-only views — no artifact is ever rebuilt or pickled per
+cell. Memoization stays in the parent, and so does the session's store
+I/O, so the store's bytes are identical to a serial run.
 
 Simulations are deterministic pure functions of the warmed artifacts,
-so parallel runs are bit-identical to serial ones under either
-backend. Fault plans survive the process hop: workers re-arm a fresh
-:class:`~repro.faults.FaultPlan` from the parent's ``(rules, seed)``,
-and firing is a pure function of ``(seed, rule, site, key, n)`` — the
-schedule hits the same cells it would in-process.
+so parallel runs are bit-identical to serial ones. Fault plans survive
+the process hop: workers re-arm a fresh :class:`~repro.faults.FaultPlan`
+from the parent's ``(rules, seed)``, and firing is a pure function of
+``(seed, rule, site, key, n)`` — the schedule hits the same cells it
+would in-process.
 
 Failure semantics
 -----------------
@@ -68,28 +62,16 @@ from repro.platforms.base import DatasetArtifacts, Platform, PlatformContext
 from repro.platforms.failures import ArtifactBuildError, CellFailure, RetryPolicy
 from repro.platforms.registry import create_platform
 
-__all__ = ["GridRunner", "resolve_executor", "resolve_jobs"]
+__all__ = ["GridRunner", "resolve_jobs"]
 
 GridKey = tuple[str, str, str]
 
 _ON_ERROR = ("raise", "collect")
-_EXECUTORS = ("thread", "process", "auto")
 
-#: Start method for the process backend. ``fork`` is preferred where
+#: Start method for the process pool. ``fork`` is preferred where
 #: available (no re-import, instant workers); ``REPRO_MP_START_METHOD``
 #: overrides (e.g. ``spawn`` to exercise the macOS/Windows default).
 ENV_MP_START_METHOD = "REPRO_MP_START_METHOD"
-
-
-def resolve_executor(executor: str, jobs: int) -> str:
-    """Collapse ``"auto"`` to a concrete backend for this machine."""
-    if executor not in _EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {_EXECUTORS}, got {executor!r}"
-        )
-    if executor == "auto":
-        return "process" if jobs > 1 and (os.cpu_count() or 1) > 1 else "thread"
-    return executor
 
 
 def resolve_jobs(jobs: int | str | None) -> int:
@@ -181,10 +163,10 @@ class GridRunner:
         self._artifacts: dict[str, DatasetArtifacts] = {}
         self._platforms: dict[str, Platform] = {}
         self._lock = threading.Lock()
-        # Per-dataset build locks: concurrent cells that need the same
+        # Per-dataset build locks: concurrent callers that need the same
         # (not yet warmed) dataset build it once, not racily twice.
         self._build_locks: dict[str, threading.Lock] = {}
-        # Published shared-memory segments (process backend), one per
+        # Published shared-memory segments (process pool), one per
         # dataset, reused across run_cells calls. The finalizer unlinks
         # them when the runner dies — including interpreter exit and
         # KeyboardInterrupt (weakref.finalize registers with atexit).
@@ -246,9 +228,10 @@ class GridRunner:
     def platform(self, name: str) -> Platform:
         """The (cached) platform instance for ``name``.
 
-        Double-checked under ``_lock``: pool workers resolve platforms
-        concurrently, and two unlocked builders would each construct
-        (and one would silently discard) an instance.
+        Double-checked under ``_lock``: the service's dispatcher thread
+        and its off-loop peeks resolve platforms concurrently, and two
+        unlocked builders would each construct (and one would silently
+        discard) an instance.
         """
         if name in self._platforms:
             return self._platforms[name]
@@ -398,24 +381,24 @@ class GridRunner:
         cells: list[GridKey],
         *,
         jobs: int = 1,
-        executor: str = "thread",
         retry: RetryPolicy | None = None,
         on_error: str = "raise",
     ):
         """Yield ``(cell, outcome)`` for every cell, in completion order.
 
-        The one fan-out primitive behind ``Session.run_iter`` and
-        ``Session.compute_cells``: serial, thread-pool and process-pool
+        The one fan-out primitive behind ``Session.compute_cells``:
+        serial (``jobs <= 1`` or a single cell) and process-pool
         execution share its contract — every cell yields exactly once
         with a report or (``on_error="collect"``) a
         :class:`CellFailure`; reports are memoized in the parent
-        process regardless of backend, so memo contents (and the
-        session's store bytes) are identical to a serial run.
+        process either way, so memo contents (and the session's store
+        bytes) are identical to a serial run.
 
         Callers must have warmed the artifacts of every cell's dataset
-        (:meth:`warm_artifacts`); in collect mode, cells whose dataset
-        failed to warm run in the parent where :meth:`run_cell` turns
-        the build error into a typed failure.
+        (:meth:`warm_artifacts`). The pool's workers attach them from
+        shared memory; in collect mode, cells whose dataset failed to
+        warm cannot be published and run in the parent, where
+        :meth:`run_cell` turns the build error into a typed failure.
 
         Abandoning the iterator early cancels cells not yet started
         and waits only for the ones in flight.
@@ -424,49 +407,13 @@ class GridRunner:
             raise ValueError(
                 f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
             )
-        mode = resolve_executor(executor, jobs)
         if jobs <= 1 or len(cells) <= 1:
-            mode = "serial"
-
-        if mode == "process":
-            yield from self._run_cells_process(
-                cells, jobs=jobs, retry=retry, on_error=on_error
-            )
+            for cell in cells:
+                yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
             return
-        if mode == "thread":
-            pool = ThreadPoolExecutor(max_workers=jobs)
-            try:
-                futures = {
-                    pool.submit(
-                        self.run_cell, *cell, retry=retry, on_error=on_error
-                    ): cell
-                    for cell in cells
-                }
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        yield futures[future], future.result()
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-            return
-        for cell in cells:
-            yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
 
-    def _run_cells_process(
-        self,
-        cells: list[GridKey],
-        *,
-        jobs: int,
-        retry: RetryPolicy | None,
-        on_error: str,
-    ):
-        """Process-pool fan-out over published shared-memory artifacts."""
         from repro.faults import active_plan
 
-        # Datasets that failed to warm (collect mode) cannot be
-        # published; their cells run in the parent, where run_cell
-        # reproduces the thread backend's typed build failures.
         publishable = [
             d
             for d in dict.fromkeys(dataset for _, _, dataset in cells)
@@ -508,8 +455,8 @@ class GridRunner:
                     cell, outcome = future.result()
                     if not isinstance(outcome, CellFailure):
                         # Memoization happens here, in the parent —
-                        # exactly where the serial and thread paths do
-                        # it — so the memo cannot depend on the backend.
+                        # exactly where the serial path does it — so
+                        # the memo cannot depend on the worker count.
                         with self._lock:
                             outcome = self.results.setdefault(cell, outcome)
                     yield cell, outcome

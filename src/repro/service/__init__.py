@@ -16,7 +16,7 @@ as one NDJSON line. The moving parts:
   served to another.
 - :mod:`repro.service.server` — the asyncio front end and the
   dispatcher thread that drains the registry through
-  :meth:`Session.compute_cells` on the thread or process backend.
+  :meth:`Session.compute_cells`, serially or on the process pool.
 - :mod:`repro.service.client` — a small blocking client used by the
   test harness, the chaos suite and the CI smoke job.
 

@@ -6,8 +6,8 @@ Three layers, one file:
   shared :class:`~repro.api.session.Session`, the
   :class:`~repro.service.registry.JobRegistry` and one dispatcher
   thread that drains the registry in fair micro-batches through
-  :meth:`Session.compute_cells` (thread or process executor — the PR 7
-  backends, untouched). Warm cells are answered from the store/memo
+  :meth:`Session.compute_cells` (serial, or the process pool when the
+  session's ``jobs > 1``). Warm cells are answered from the store/memo
   without ever entering the queue.
 - :class:`ReproServer` — the asyncio HTTP/1.1 front end: ``POST /run``
   streams NDJSON result envelopes as cells complete, ``GET /health``
@@ -86,8 +86,8 @@ class SimulationService:
     """The transport-free service core: session + registry + dispatcher.
 
     Args:
-        session: the shared execution session (its ``jobs``/``executor``
-            settings pick the fan-out backend).
+        session: the shared execution session (its ``jobs`` setting
+            picks serial or process fan-out).
         max_queue_per_client: per-client budget of undelivered cells.
         batch: max cells the dispatcher acquires per micro-batch
             (default: the session's worker count, so one batch
@@ -527,14 +527,13 @@ class BackgroundServer:
         session: Session | None = None,
         *,
         store: "ArtifactStore | None" = None,
-        jobs: int = 2,
-        executor: str = "thread",
+        jobs: int = 1,
         host: str = "127.0.0.1",
         max_queue_per_client: int = 1024,
         batch: int | None = None,
     ) -> None:
         if session is None:
-            session = Session(store=store, jobs=jobs, executor=executor)
+            session = Session(store=store, jobs=jobs)
         self.session = session
         self.service = SimulationService(
             session,

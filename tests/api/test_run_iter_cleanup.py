@@ -1,7 +1,7 @@
 """Abandonment regression: a dropped ``run_iter`` generator cleans up.
 
 A consumer that walks away mid-stream (a disconnecting service client)
-must not leak pending futures, executor threads/processes, or
+must not leak pending futures, pool worker processes, or
 shared-memory segments. The fix propagates the abandonment into
 ``GridRunner.run_cells`` *synchronously* via an explicit ``close()``,
 so pool shutdown happens at abandonment time, not at garbage-collection
@@ -39,28 +39,17 @@ def _wait_for_no_children(timeout: float = 30.0) -> bool:
     return False
 
 
-class TestThreadBackend:
-    def test_close_joins_worker_threads_synchronously(self):
-        before = set(threading.enumerate())
-        with Session(tiny_spec(), jobs=2, executor="thread") as session:
-            stream = session.run_iter()
-            first = next(stream)
-            assert first is not None
-            stream.close()
-            # run_cells' finally ran inside close(): the pool is
-            # already shut down, with no grace period needed.
-            assert _new_live_threads(before) == []
-
+class TestSerial:
     def test_abandon_before_first_yield(self):
         before = set(threading.enumerate())
-        with Session(tiny_spec(), jobs=2, executor="thread") as session:
+        with Session(tiny_spec(), jobs=1) as session:
             stream = session.run_iter()
             stream.close()  # never consumed at all
             assert _new_live_threads(before) == []
 
     def test_rerun_after_abandonment_yields_full_grid(self):
         spec = tiny_spec()
-        with Session(spec, jobs=2, executor="thread") as session:
+        with Session(spec, jobs=1) as session:
             stream = session.run_iter()
             next(stream)
             stream.close()
@@ -74,7 +63,7 @@ class TestThreadBackend:
 
 class TestProcessBackend:
     def test_close_reaps_worker_processes(self):
-        with Session(tiny_spec(), jobs=2, executor="process") as session:
+        with Session(tiny_spec(), jobs=2) as session:
             stream = session.run_iter()
             next(stream)
             stream.close()
@@ -84,7 +73,7 @@ class TestProcessBackend:
 
     def test_abandonment_then_rerun_is_bit_identical(self):
         spec = tiny_spec()
-        with Session(spec, jobs=2, executor="process") as session:
+        with Session(spec, jobs=2) as session:
             stream = session.run_iter()
             next(stream)
             stream.close()
@@ -97,17 +86,17 @@ class TestProcessBackend:
 class TestComputeCells:
     """The service-facing hook shares run_iter's teardown contract."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_abandoned_compute_cells_tears_down(self, executor):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+    def test_abandoned_compute_cells_tears_down(self, jobs):
         before = set(threading.enumerate())
         spec = tiny_spec()
-        with Session(spec, jobs=2, executor=executor) as session:
+        with Session(spec, jobs=jobs) as session:
             cells = list(spec.cells())
             stream = session.compute_cells(cells, spec=spec)
             cell, result = next(stream)
             assert cell in cells and result.ok
             stream.close()
-            if executor == "thread":
+            if jobs == 1:
                 assert _new_live_threads(before) == []
             else:
                 assert _wait_for_no_children()

@@ -50,6 +50,14 @@ class TestRun:
         parallel = Session(small_spec(), jobs=4).run()
         assert serial == parallel
 
+    def test_executor_keyword_accepts_only_process(self):
+        # jobs alone picks serial or process fan-out; the keyword
+        # survives only for old callers that name the process pool.
+        assert Session(executor="process").jobs == 1
+        for name in ("thread", "auto"):
+            with pytest.raises(ValueError, match="executor"):
+                Session(executor=name)
+
     def test_speedup_report(self, grid):
         speedup = grid.speedup(baseline="t4")
         assert speedup.geomean("t4") == pytest.approx(1.0)

@@ -1,9 +1,9 @@
-"""Chaos contract under the process-pool backend.
+"""Chaos contract under the process pool (``jobs > 1``).
 
 Fault firing is a pure function of ``(plan seed, rule, site, key)``
 and each cell runs exactly once, so an armed plan must fail *the same
-cells* whether the grid runs serially, on threads, or on forked
-workers re-arming the plan from its picklable ``(rules, seed)`` —
+cells* whether the grid runs serially or on forked workers re-arming
+the plan from its picklable ``(rules, seed)`` —
 and surviving cells must stay bit-identical to a fault-free run.
 """
 
@@ -30,23 +30,23 @@ PLANS = {
 }
 
 
-def run_grid(executor: str, rules, *, jobs: int = 4, retry=None):
+def run_grid(rules, *, jobs: int, retry=None):
     plan = FaultPlan(rules, seed=CHAOS_SEED)
     with plan:
-        return Session(tiny_spec(), jobs=jobs, executor=executor).run(
+        return Session(tiny_spec(), jobs=jobs).run(
             on_error="collect", retry=retry
         )
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
-def test_process_fault_schedule_matches_thread(name, baseline_cells):
+def test_process_fault_schedule_matches_serial(name, baseline_cells):
     rules = PLANS[name]
-    threaded = run_grid("thread", rules)
-    processed = run_grid("process", rules)
+    serial = run_grid(rules, jobs=1)
+    processed = run_grid(rules, jobs=4)
     assert [c.key for c in processed.cells] == [
-        c.key for c in threaded.cells
+        c.key for c in serial.cells
     ]
-    for ours, theirs in zip(processed.cells, threaded.cells):
+    for ours, theirs in zip(processed.cells, serial.cells):
         assert ours.status == theirs.status, ours.key
         if ours.ok:
             # Survivors are bit-identical to the fault-free baseline.
@@ -67,7 +67,7 @@ def test_process_run_iter_exactly_once_under_faults(baseline_cells):
     )
     with plan:
         seen = list(
-            Session(spec, jobs=4, executor="process").run_iter(
+            Session(spec, jobs=4).run_iter(
                 on_error="collect"
             )
         )
@@ -83,11 +83,9 @@ def test_process_failures_not_cached(baseline_cells):
     with FaultPlan(
         [FaultRule("platform.simulate", rate=1.0)], seed=CHAOS_SEED
     ):
-        broken = Session(
-            tiny_spec(), jobs=2, executor="process"
-        ).run(on_error="collect")
+        broken = Session(tiny_spec(), jobs=2).run(on_error="collect")
     assert not broken.ok
-    healed = Session(tiny_spec(), jobs=2, executor="process").run()
+    healed = Session(tiny_spec(), jobs=2).run()
     assert healed.ok
     assert {c.key: c for c in healed.cells} == baseline_cells
 
@@ -102,7 +100,7 @@ def test_process_retry_cures_budgeted_faults(baseline_cells):
         seed=CHAOS_SEED,
     )
     with plan:
-        grid = Session(spec, jobs=4, executor="process").run(
+        grid = Session(spec, jobs=4).run(
             on_error="collect", retry=RetryPolicy(max_attempts=2)
         )
     assert grid.ok

@@ -88,7 +88,9 @@ class TestSimulateFaults:
     def test_faulted_cells_never_shared_across_clients(
         self, launch, baseline_cells
     ):
-        server = launch(jobs=2)
+        # Serial: plan.fired counts parent-side fires, and process
+        # workers would re-arm (and count on) their own copy.
+        server = launch(jobs=1)
         spec = tiny_spec()
         plan = FaultPlan(
             [

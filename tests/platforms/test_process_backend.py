@@ -1,7 +1,7 @@
-"""Process-pool execution: bit-identity with serial and thread runs.
+"""Process-pool execution: bit-identity with serial runs.
 
-The multicore contract: picking ``executor="process"`` changes wall
--clock behaviour only. Reports, canonical grid JSON, store bytes and
+The multicore contract: ``jobs > 1`` changes wall-clock behaviour
+only. Reports, canonical grid JSON, store bytes and
 delivery semantics (exactly once per cell) are byte-identical to a
 serial run — workers attach the parent's published shared-memory
 artifacts and their results are finalized and persisted in the parent.
@@ -21,7 +21,7 @@ import pytest
 from repro.api import ExperimentSpec, Session
 from repro.models.base import ModelConfig
 from repro.platforms import ArtifactStore, GridRunner, PlatformContext
-from repro.platforms.runner import resolve_executor, resolve_jobs
+from repro.platforms.runner import resolve_jobs
 
 TINY_MODEL = ModelConfig(hidden_dim=16, num_heads=2, embed_dim=8)
 TINY_DATASETS = ("thrash:working_set=48,num_dst=6", "uniform:num_dst=24,degree=2")
@@ -56,18 +56,6 @@ def store_tree(root: Path) -> dict[str, str]:
 
 
 class TestResolvers:
-    def test_explicit_executors_pass_through(self):
-        assert resolve_executor("thread", 8) == "thread"
-        assert resolve_executor("process", 1) == "process"
-
-    def test_auto_is_serial_safe(self):
-        # jobs=1 has nothing to fan out; auto must not pay fork costs.
-        assert resolve_executor("auto", 1) == "thread"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            resolve_executor("fibers", 4)
-
     def test_jobs_accepts_auto_and_numbers(self):
         import os
 
@@ -95,7 +83,7 @@ class TestRunnerProcessBackend:
         serial = dict(self.make_runner().run_cells(self.CELLS))
         worker = self.make_runner()
         parallel = dict(
-            worker.run_cells(self.CELLS, jobs=2, executor="process")
+            worker.run_cells(self.CELLS, jobs=2)
         )
         worker.close()
         assert serial.keys() == parallel.keys()
@@ -106,35 +94,33 @@ class TestRunnerProcessBackend:
 
     def test_run_cells_yields_each_cell_once(self):
         runner = self.make_runner()
-        seen = list(runner.run_cells(self.CELLS, jobs=2, executor="process"))
+        seen = list(runner.run_cells(self.CELLS, jobs=2))
         runner.close()
         assert sorted(key for key, _ in seen) == sorted(self.CELLS)
 
 
 class TestSessionProcessBackend:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_grid_json_identical_to_serial(self, executor):
+    def test_parallel_grid_json_identical_to_serial(self):
         with Session(tiny_spec()) as session:
             baseline = canonical(session.run())
-        with Session(tiny_spec(), jobs=4, executor=executor) as session:
+        with Session(tiny_spec(), jobs=4) as session:
             assert canonical(session.run()) == baseline
 
     def test_store_bytes_identical_across_backends(self, tmp_path):
         trees = {}
-        for executor in ("thread", "process"):
-            root = tmp_path / executor
-            store = ArtifactStore(root)
+        for jobs in (1, 2):
+            root = tmp_path / f"jobs{jobs}"
             with Session(
-                tiny_spec(), store=store, jobs=2, executor=executor
+                tiny_spec(), store=ArtifactStore(root), jobs=jobs
             ) as session:
                 session.run()
-            trees[executor] = store_tree(root)
-        assert trees["thread"] == trees["process"]
-        assert trees["thread"], "store unexpectedly empty"
+            trees[jobs] = store_tree(root)
+        assert trees[1] == trees[2]
+        assert trees[1], "store unexpectedly empty"
 
     def test_process_run_iter_exactly_once(self):
         spec = tiny_spec()
-        with Session(spec, jobs=2, executor="process") as session:
+        with Session(spec, jobs=2) as session:
             seen = [cell.key for cell in session.run_iter()]
         assert sorted(seen) == sorted(spec.cells())
 
@@ -146,7 +132,6 @@ class TestSessionProcessBackend:
             tiny_spec(),
             store=ArtifactStore(store_root),
             jobs=4,
-            executor="process",
         ) as session:
             assert canonical(session.run()) == baseline
 
@@ -167,7 +152,7 @@ spec = ExperimentSpec(
     scale=1.0,
     model_config=ModelConfig(hidden_dim=16, num_heads=2, embed_dim=8),
 )
-with Session(spec, jobs=2, executor="process") as session:
+with Session(spec, jobs=2) as session:
     grid = session.run()
 print(json.dumps(len(grid.cells)))
 """.format(datasets=TINY_DATASETS)

@@ -2,8 +2,8 @@
 
 Any grid executed through the service must be byte-identical to
 :meth:`Session.run` — the typed-result JSON, the store file tree it
-leaves behind, and the warm-replay behavior — across thread and
-process executors, with scenario refs and catalog datasets alike.
+leaves behind, and the warm-replay behavior — serial and on the
+process pool, with scenario refs and catalog datasets alike.
 """
 
 from __future__ import annotations
@@ -36,23 +36,21 @@ def _result_cells(envelopes) -> list[dict]:
     return [e["cell"] for e in envelopes if e["event"] == "result"]
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
 class TestServiceSessionParity:
     def test_results_and_store_tree_byte_identical(
-        self, tmp_path, launch, executor
+        self, tmp_path, launch, jobs
     ):
         spec = tiny_spec()
         # Ground truth: the embedded API into its own store.
         session = Session(
-            spec, store=ArtifactStore(tmp_path / "session"), jobs=2,
-            executor=executor,
+            spec, store=ArtifactStore(tmp_path / "session"), jobs=jobs
         )
         grid = session.run()
         session.close()
 
         server = launch(
-            store=ArtifactStore(tmp_path / "service"), jobs=2,
-            executor=executor,
+            store=ArtifactStore(tmp_path / "service"), jobs=jobs
         )
         envelopes = client_for(server).run_grid(spec, order="spec")
         assert envelopes[-1]["ok"] is True
@@ -75,11 +73,11 @@ class TestServiceSessionParity:
         server.stop()
         assert _tree(tmp_path / "service") == _tree(tmp_path / "session")
 
-    def test_warm_replay_matches_cold_run(self, tmp_path, launch, executor):
+    def test_warm_replay_matches_cold_run(self, tmp_path, launch, jobs):
         spec = tiny_spec()
         store_root = tmp_path / "shared"
         server = launch(
-            store=ArtifactStore(store_root), jobs=2, executor=executor
+            store=ArtifactStore(store_root), jobs=jobs
         )
         client = client_for(server)
         cold = client.run_grid(spec, order="spec")
@@ -96,7 +94,7 @@ class TestServiceSessionParity:
         # and still byte-identical — store-speed replay across
         # processes and restarts.
         reborn = launch(
-            store=ArtifactStore(store_root), jobs=2, executor=executor
+            store=ArtifactStore(store_root), jobs=jobs
         )
         replay_client = client_for(reborn)
         replay = replay_client.run_grid(spec, order="spec", trace=True)

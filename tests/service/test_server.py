@@ -240,9 +240,9 @@ class TestConcurrentClients:
 
 
 class TestAbandonment:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_dropped_stream_leaves_service_healthy(self, launch, executor):
-        server = launch(jobs=2, executor=executor)
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
+    def test_dropped_stream_leaves_service_healthy(self, launch, jobs):
+        server = launch(jobs=jobs)
         spec = tiny_spec()
         client = client_for(server, client_id="quitter")
         stream = client.run(spec, trace=True)

@@ -18,26 +18,34 @@ class TestParser:
         assert args.models == "rgcn"
         assert args.platforms is None
         assert args.jobs == "1"
-        assert args.executor == "thread"
+        assert not hasattr(args, "executor")
         assert args.no_cache is False
+
+    def test_serve_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        # Serial by default: on mixed small requests a process pool
+        # only adds latency.
+        assert args.jobs == "1"
+        assert not hasattr(args, "executor")
 
     def test_evaluate_new_flags(self):
         args = build_parser().parse_args([
             "evaluate", "--platforms", "t4,hihgnn", "--jobs", "4",
-            "--executor", "process", "--no-cache",
+            "--no-cache",
         ])
         assert args.platforms == "t4,hihgnn"
         assert args.jobs == "4"
-        assert args.executor == "process"
         assert args.no_cache is True
 
     def test_evaluate_jobs_auto(self):
         args = build_parser().parse_args(["evaluate", "--jobs", "auto"])
         assert args.jobs == "auto"
 
-    def test_evaluate_executor_choices(self):
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_executor_flag_is_gone(self, command):
+        # --jobs alone picks serial or process fan-out.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate", "--executor", "fibers"])
+            build_parser().parse_args([command, "--executor", "process"])
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -105,7 +113,7 @@ class TestCommands:
         ]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--executor", "process", "--jobs", "2"]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_evaluate_bad_jobs_value(self, capsys):
@@ -114,6 +122,12 @@ class TestCommands:
             "--jobs", "many", "--no-cache",
         ]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_nonpositive_jobs_rejected(self, capsys, command, jobs):
+        assert main([command, "--jobs", jobs, "--no-cache"]) == 2
+        assert "error: --jobs must be" in capsys.readouterr().err
 
     def test_evaluate_store_warm_run(self, capsys, tmp_path):
         argv = [
