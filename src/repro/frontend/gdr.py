@@ -15,7 +15,7 @@ free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 from repro.accelerator.config import HiHGNNConfig
 from repro.accelerator.hihgnn import HiHGNNSimulator, SimulationReport
@@ -27,8 +27,16 @@ from repro.graph.hetero import HeteroGraph
 from repro.graph.semantic import SemanticGraph, build_semantic_graphs
 from repro.models.base import ModelConfig
 from repro.restructure.recouple import RestructureResult
+from repro.restructure.restructure import restructure_tree
 
 __all__ = ["FrontendReport", "GDRFrontend", "GDRHGNNSystem"]
+
+
+def _fieldwise_sum(reports):
+    """One report whose every counter is the sum over ``reports``."""
+    first = reports[0]
+    totals = {f.name: sum(getattr(r, f.name) for r in reports) for f in fields(first)}
+    return replace(first, **totals)
 
 
 @dataclass
@@ -52,6 +60,10 @@ class FrontendReport:
     @property
     def dram_bytes_written(self) -> int:
         return self.recoupler.dram_bytes_written
+
+
+#: Per semantic graph: its restructure and the frontend's cost for it.
+FrontendPass = list[tuple[RestructureResult, FrontendReport]]
 
 
 class GDRFrontend:
@@ -88,57 +100,42 @@ class GDRFrontend:
         self.max_depth = max_depth
         self.min_edges = min_edges
 
+    @property
+    def key(self) -> tuple:
+        """Every parameter a restructure depends on (memo key)."""
+        rec = self.recoupler
+        return (
+            self.config,
+            rec.backbone_strategy,
+            rec.community_budget,
+            self.max_depth,
+            self.min_edges,
+            rec.naive,
+        )
+
     def restructure(
         self, graph: SemanticGraph
     ) -> tuple[RestructureResult, FrontendReport]:
-        """Restructure one semantic graph, reporting hardware cost."""
-        return self._restructure(graph, depth=0)
+        """Restructure one semantic graph, reporting hardware cost.
 
-    def _restructure(
-        self, graph: SemanticGraph, depth: int
-    ) -> tuple[RestructureResult, FrontendReport]:
-        matching, dec_report = self.decoupler.run(graph)
-        result, rec_report = self.recoupler.run(graph, matching)
-        report = FrontendReport(
-            relation=str(graph.relation),
-            decoupler=dec_report,
-            recoupler=rec_report,
+        With ``max_depth > 0`` the report is the field-wise sum of the
+        Decoupler and Recoupler reports of every restructured tree node.
+        """
+        reports: list[tuple[DecouplerReport, RecouplerReport]] = []
+
+        def step(sg: SemanticGraph) -> RestructureResult:
+            matching, dec_report = self.decoupler.run(sg)
+            result, rec_report = self.recoupler.run(sg, matching)
+            reports.append((dec_report, rec_report))
+            return result
+
+        result = restructure_tree(
+            graph, step, max_depth=self.max_depth, min_edges=self.min_edges
         )
-        if depth < self.max_depth:
-            children: list[RestructureResult | None] = []
-            for sub in result.subgraphs:
-                if sub.num_edges >= self.min_edges:
-                    child, child_report = self._restructure(sub, depth + 1)
-                    children.append(child)
-                    # Fold the child's full counter set into the parent
-                    # report, not just cycles and DRAM traffic --
-                    # recursive runs previously dropped the event
-                    # counters, skewing every per-counter derived rate.
-                    parent_dec, child_dec = report.decoupler, child_report.decoupler
-                    parent_dec.cycles += child_dec.cycles
-                    parent_dec.dram_bytes_read += child_dec.dram_bytes_read
-                    parent_dec.fifo_pushes += child_dec.fifo_pushes
-                    parent_dec.fifo_pops += child_dec.fifo_pops
-                    parent_dec.hash_conflicts += child_dec.hash_conflicts
-                    parent_dec.augmenting_paths += child_dec.augmenting_paths
-                    parent_rec, child_rec = report.recoupler, child_report.recoupler
-                    parent_rec.cycles += child_rec.cycles
-                    parent_rec.dram_bytes_read += child_rec.dram_bytes_read
-                    parent_rec.dram_bytes_written += child_rec.dram_bytes_written
-                    parent_rec.candidates_processed += child_rec.candidates_processed
-                    parent_rec.edges_emitted += child_rec.edges_emitted
-                else:
-                    children.append(None)
-            result.children = children
-        return result, report
-
-
-@dataclass
-class SystemRunArtifacts:
-    """Intermediate artifacts of one system run (exposed for analysis)."""
-
-    frontend_reports: list[FrontendReport] = field(default_factory=list)
-    restructure_results: dict[str, RestructureResult] = field(default_factory=dict)
+        dec, rec = zip(*reports)
+        return result, FrontendReport(
+            str(graph.relation), _fieldwise_sum(dec), _fieldwise_sum(rec)
+        )
 
 
 class GDRHGNNSystem:
@@ -177,9 +174,15 @@ class GDRHGNNSystem:
         model_name: str,
         *,
         semantic_graphs: list[SemanticGraph] | None = None,
-        artifacts: SystemRunArtifacts | None = None,
+        frontend_pass: FrontendPass | None = None,
     ) -> SimulationReport:
         """Simulate the combined system on one dataset and model.
+
+        ``frontend_pass`` holds ``self.frontend``'s restructure of each
+        of ``semantic_graphs``, in the same order. It depends on no model,
+        so callers may share one across models (as
+        :meth:`DatasetArtifacts.frontend_pass` does); it is only read.
+        When omitted, the frontend restructures each graph here.
 
         Returns a :class:`SimulationReport` whose ``total_cycles``
         includes exposed frontend latency, whose DRAM statistics merge
@@ -188,15 +191,14 @@ class GDRHGNNSystem:
         """
         if semantic_graphs is None:
             semantic_graphs = build_semantic_graphs(graph)
+        if frontend_pass is None:
+            frontend_pass = [self.frontend.restructure(g) for g in semantic_graphs]
         order = similarity_schedule(semantic_graphs)
         ordered = [semantic_graphs[i] for i in order]
-
-        frontend_reports: list[FrontendReport] = []
-        restructured: dict[str, RestructureResult] = {}
-        for sg in ordered:
-            result, report = self.frontend.restructure(sg)
-            frontend_reports.append(report)
-            restructured[str(sg.relation)] = result
+        frontend_reports = [frontend_pass[i][1] for i in order]
+        restructured = {
+            str(semantic_graphs[i].relation): frontend_pass[i][0] for i in order
+        }
 
         accel = self.accelerator.run(
             graph,
@@ -240,8 +242,4 @@ class GDRHGNNSystem:
             if accel.total_cycles
             else 0.0
         )
-
-        if artifacts is not None:
-            artifacts.frontend_reports = frontend_reports
-            artifacts.restructure_results = restructured
         return accel

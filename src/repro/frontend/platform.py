@@ -26,7 +26,6 @@ class GDRHGNNPlatform(Platform):
         artifacts: DatasetArtifacts,
         *,
         naive: bool = False,
-        **kwargs,
     ) -> SimulationReport:
         system = GDRHGNNSystem(
             self.context.accelerator,
@@ -38,7 +37,7 @@ class GDRHGNNPlatform(Platform):
             artifacts.graph,
             model_name,
             semantic_graphs=artifacts.semantic_graphs,
-            **kwargs,
+            frontend_pass=artifacts.frontend_pass(system.frontend),
         )
         return self._labelled(report)
 

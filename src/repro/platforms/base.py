@@ -4,10 +4,10 @@ A *platform* is one column of the paper's evaluation grid (T4, A100,
 HiHGNN, HiHGNN+GDR-HGNN, or any variant an experiment registers). Each
 platform turns a dataset into shared topology artifacts (:meth:`Platform.prepare`)
 and simulates one model on those artifacts (:meth:`Platform.simulate`).
-The split matters for the grid runner: ``prepare`` output is pure
-topology, built once per dataset and shared read-only by every
-platform x model cell, while ``simulate`` owns all mutable simulator
-state and is safe to fan out across workers.
+The split matters for the grid runner: ``prepare`` output is
+topology shared read-only by every platform x model cell, plus a
+lock-guarded memo of model-independent frontend passes filled lazily;
+``simulate`` owns all other mutable state and fans out across workers.
 
 Adapters for the four paper platforms live next to the simulators they
 wrap (:mod:`repro.gpu.platform`, :mod:`repro.accelerator.platform`,
@@ -18,14 +18,18 @@ wrap (:mod:`repro.gpu.platform`, :mod:`repro.accelerator.platform`,
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.accelerator.config import HiHGNNConfig
 from repro.frontend.config import GDRConfig
 from repro.graph.hetero import HeteroGraph
 from repro.graph.semantic import SemanticGraph, build_semantic_graphs
 from repro.models.base import ModelConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.frontend.gdr import FrontendPass, GDRFrontend
 
 __all__ = ["PlatformContext", "DatasetArtifacts", "Platform"]
 
@@ -47,16 +51,39 @@ class PlatformContext:
 
 @dataclass
 class DatasetArtifacts:
-    """Shared per-dataset topology artifacts (read-only after build).
+    """Shared per-dataset artifacts: read-only topology, one derived memo.
 
     Holds the dataset graph and its SGB output with every lazy
     per-semantic-graph memo (CSR/CSC views, active vertex sets, NA
     trace, replay artifact and its stack distances) forced eagerly, so
-    concurrent ``simulate`` calls never race on cache fills.
+    concurrent ``simulate`` calls never race on cache fills. The one
+    mutable part is the lock-guarded memo behind :meth:`frontend_pass`,
+    filled lazily on first use and only read afterwards.
     """
 
     graph: HeteroGraph
     semantic_graphs: list[SemanticGraph]
+
+    def __post_init__(self) -> None:
+        self._passes: dict[tuple, FrontendPass] = {}
+        self._lock = threading.Lock()
+
+    def frontend_pass(self, frontend: GDRFrontend) -> FrontendPass:
+        """``frontend``'s restructure of every semantic graph, memoized.
+
+        A pass depends on topology and :attr:`GDRFrontend.key`, never on
+        the model, so every cell on these artifacts shares one and only
+        reads it. Leaf subgraphs drop their source-major CSR, which only
+        scheduling read, so the memo keeps what simulation needs.
+        """
+        with self._lock:
+            if frontend.key not in self._passes:
+                computed = [frontend.restructure(sg) for sg in self.semantic_graphs]
+                for result, _ in computed:
+                    for sub, _ in result.leaves():
+                        sub._csr = None
+                self._passes[frontend.key] = computed
+            return self._passes[frontend.key]
 
     @classmethod
     def build(

@@ -4,8 +4,8 @@ The runner owns the per-(seed, scale, configuration) execution state
 behind :class:`~repro.api.session.Session`:
 
 - dataset graphs and their shared :class:`DatasetArtifacts` (built once
-  per dataset, warmed, then read-only — the precondition for fanning
-  cells out across workers),
+  per dataset, warmed, then read-only but for the lock-guarded frontend
+  pass memo — the precondition for fanning cells out across workers),
 - platform instances resolved through the registry,
 - an in-memory memo of raw simulation reports,
 - a ``concurrent.futures`` process pool for ``jobs > 1``.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.graph.semantic import SemanticGraph
 from repro.restructure.backbone import select_backbone
@@ -14,7 +15,7 @@ from repro.restructure.matching import (
 from repro.restructure.matching_vec import maximum_matching_vec
 from repro.restructure.recouple import RestructureResult, recouple
 
-__all__ = ["decouple", "GraphRestructurer"]
+__all__ = ["decouple", "restructure_tree", "GraphRestructurer"]
 
 _MATCHERS = {
     "kuhn": maximum_matching,
@@ -41,6 +42,29 @@ def decouple(graph: SemanticGraph, method: str = "kuhn") -> MatchingResult:
             f"unknown matching method {method!r}; choose one of: {known}"
         ) from None
     return matcher(graph)
+
+
+def restructure_tree(
+    graph: SemanticGraph,
+    step: Callable[[SemanticGraph], RestructureResult],
+    *,
+    max_depth: int,
+    min_edges: int,
+) -> RestructureResult:
+    """The one restructure recursion: ``step`` on ``graph``, then, up to
+    ``max_depth`` levels down, on every subgraph of ``min_edges`` or more
+    edges (in pre-order); smaller subgraphs get a ``None`` child."""
+    result = step(graph)
+    if max_depth > 0:
+        result.children = [
+            restructure_tree(
+                sub, step, max_depth=max_depth - 1, min_edges=min_edges
+            )
+            if sub.num_edges >= min_edges
+            else None
+            for sub in result.subgraphs
+        ]
+    return result
 
 
 @dataclass
@@ -73,9 +97,11 @@ class GraphRestructurer:
 
     def restructure(self, graph: SemanticGraph) -> RestructureResult:
         """Restructure one semantic graph (recursing per configuration)."""
-        return self._restructure(graph, depth=0)
+        return restructure_tree(
+            graph, self._step, max_depth=self.max_depth, min_edges=self.min_edges
+        )
 
-    def _restructure(self, graph: SemanticGraph, depth: int) -> RestructureResult:
+    def _step(self, graph: SemanticGraph) -> RestructureResult:
         matching = decouple(graph, self.matching_method)
         partition = select_backbone(graph, matching, self.backbone_strategy)
         result = recouple(
@@ -83,12 +109,4 @@ class GraphRestructurer:
         )
         if self.validate:
             result.validate()
-        if depth < self.max_depth:
-            children: list[RestructureResult | None] = []
-            for sub in result.subgraphs:
-                if sub.num_edges >= self.min_edges:
-                    children.append(self._restructure(sub, depth + 1))
-                else:
-                    children.append(None)
-            result.children = children
         return result

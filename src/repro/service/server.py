@@ -353,7 +353,10 @@ class ReproServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes]:
-        head = await reader.readuntil(b"\r\n\r\n")
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError as exc:
+            raise BadRequest("request head too large") from exc
         if len(head) > _MAX_HEAD_BYTES:
             raise BadRequest("request head too large")
         lines = head.decode("latin-1").split("\r\n")
@@ -367,7 +370,10 @@ class ReproServer:
                 continue
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise BadRequest(f"malformed Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
             raise BadRequest(f"request body too large ({length} bytes)")
         body = await reader.readexactly(length) if length else b""

@@ -5,8 +5,9 @@ import pytest
 from repro.accelerator.hihgnn import HiHGNNSimulator
 from repro.frontend.config import GDRConfig
 from repro.frontend.decoupler import Decoupler
-from repro.frontend.gdr import GDRFrontend, GDRHGNNSystem, SystemRunArtifacts
+from repro.frontend.gdr import GDRFrontend, GDRHGNNSystem
 from repro.frontend.recoupler import Recoupler
+from repro.graph.semantic import build_semantic_graphs
 from repro.models.base import ModelConfig
 from repro.restructure.hopcroft_karp import hopcroft_karp
 
@@ -73,12 +74,15 @@ class TestFrontend:
 class TestSystem:
     def test_combined_report(self, tiny_imdb):
         system = GDRHGNNSystem(model_config=SMALL)
-        artifacts = SystemRunArtifacts()
-        report = system.run(tiny_imdb, "rgcn", artifacts=artifacts)
+        graphs = build_semantic_graphs(tiny_imdb)
+        frontend_pass = [system.frontend.restructure(sg) for sg in graphs]
+        report = system.run(
+            tiny_imdb, "rgcn", semantic_graphs=graphs, frontend_pass=frontend_pass
+        )
         assert report.platform == "hihgnn+gdr"
-        assert report.frontend_cycles > 0
-        assert len(artifacts.frontend_reports) == len(tiny_imdb.relations)
-        assert len(artifacts.restructure_results) == len(tiny_imdb.relations)
+        assert report.frontend_cycles == sum(r.cycles for _, r in frontend_pass)
+        assert len(frontend_pass) == len(tiny_imdb.relations)
+        assert report == system.run(tiny_imdb, "rgcn")
 
     def test_pipelining_bounds(self, tiny_imdb):
         """System time is at least the accelerator-alone restructured

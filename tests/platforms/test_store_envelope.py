@@ -258,7 +258,9 @@ class TestVerify:
         store = ArtifactStore(tmp_path)
         key, path = make_entry(store)
         size = path.stat().st_size
-        (store.root / "cc").mkdir()
+        # exist_ok: the entry's own shard is a digest prefix of the
+        # source tree, so it can be "cc" too.
+        (store.root / "cc").mkdir(exist_ok=True)
         (store.root / "cc" / "x.tmp").write_bytes(b"junk")
         bad_key = store.key_for("t4", "rgcn", "acm", "bad")
         store.save(bad_key, "x")

@@ -91,6 +91,25 @@ class TestEndpoints:
         assert raw.startswith(b"HTTP/1.1 400 ")
         assert b'"code":"bad-request"' in raw
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /run HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /run HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            # Above the 64 KiB stream-reader limit, so the head never
+            # ends inside the buffer.
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+        ],
+        ids=["non-numeric-length", "negative-length", "oversized-head"],
+    )
+    def test_malformed_head_is_typed_400(self, launch, head):
+        server = launch(jobs=1)
+        raw = _raw_request(server, head)
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert b'"code":"bad-request"' in raw
+        # The server survives and keeps answering.
+        assert client_for(server).health()["status"] == "ok"
+
     def test_invalid_spec_is_typed_400(self, launch):
         server = launch(jobs=1)
         # ExperimentSpec validates eagerly client-side, so an invalid
