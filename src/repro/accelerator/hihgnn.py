@@ -128,7 +128,8 @@ class HiHGNNSimulator:
             restructured: precomputed restructuring results keyed by
                 ``str(relation)`` (the :class:`GDRHGNNSystem` path,
                 which must not re-run the algorithm it already paid
-                frontend cycles for). Mutually exclusive with
+                frontend cycles for). NA replays their
+                ``leaf_replays`` when filled. Mutually exclusive with
                 ``restructurer``.
             use_similarity_schedule: HiHGNN's similarity scheduling
                 (disable for ablations).
@@ -221,16 +222,17 @@ class HiHGNNSimulator:
                 result = restructurer.restructure(sg)
             if result is not None:
                 leaves = result.leaves()
+                replays = result.leaf_replays or [None] * len(leaves)
                 restructure_stats["graphs"] += 1
                 restructure_stats["subgraphs"] += len(leaves)
                 restructure_stats["backbone_vertices"] += result.backbone_size
                 restructure_stats["matching_size"] += result.matching.size
             else:
-                leaves = [(sg, None)]
+                leaves, replays = [(sg, None)], [None]
 
             na_report = StageReport("na")
-            for sub, schedule in leaves:
-                na_report.merge(na_engines[lane].run(sub, schedule))
+            for (sub, schedule), replay in zip(leaves, replays):
+                na_report.merge(na_engines[lane].run(sub, schedule, replay))
 
             sf_report = sf_engine.run(
                 sg, num_relations_at_dst=relations_at_dst[sg.relation.dst_type]

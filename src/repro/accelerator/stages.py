@@ -20,11 +20,13 @@ from repro.graph.csr import CSR, gather_rows
 from repro.graph.semantic import SemanticGraph
 from repro.memory.buffer import FeatureBuffer
 from repro.memory.dram import HBMModel
+from repro.memory.replay import TraceArtifact
 from repro.models.base import HGNNModel
 
 __all__ = [
     "StageReport",
     "gather_in_neighbors",
+    "scheduled_na_replay",
     "InputProjectionEngine",
     "FPStageEngine",
     "NAStageEngine",
@@ -68,6 +70,18 @@ def gather_in_neighbors(csc: CSR, schedule: np.ndarray) -> np.ndarray:
     :func:`repro.graph.csr.gather_rows`, kept for its historical name.
     """
     return gather_rows(csc, schedule)
+
+
+def scheduled_na_replay(graph: SemanticGraph, schedule: np.ndarray) -> TraceArtifact:
+    """Replay artifact of ``graph``'s NA trace in ``schedule`` order.
+
+    The source-feature reads of aggregating destinations in
+    ``schedule`` order, at global feature ids. With the default
+    ``active_dst`` order this is :meth:`SemanticGraph.na_replay`.
+    """
+    return TraceArtifact(
+        gather_in_neighbors(graph.csc, schedule) + graph.src_global_base
+    )
 
 
 class FPStageEngine:
@@ -214,25 +228,29 @@ class NAStageEngine:
         self,
         graph: SemanticGraph,
         schedule: np.ndarray | None = None,
+        replay: TraceArtifact | None = None,
     ) -> StageReport:
+        """Aggregate ``graph`` in ``schedule`` order (default: ``active_dst``).
+
+        ``replay`` is :func:`scheduled_na_replay` of ``(graph,
+        schedule)`` when the caller already holds it (the GDR frontend
+        pass carries one per leaf); it is built here otherwise. The
+        default schedule reads the graph's own cached artifact.
+        """
         cfg = self.model.config
         report = StageReport(name="na")
         if graph.num_edges == 0:
             return report
-        artifact = None
         if schedule is None:
-            # Default schedule: reuse the graph's cached trace and
-            # replay artifact (shared with every other consumer).
             schedule = graph.active_dst()
-            trace = graph.na_trace()
-            artifact = graph.na_replay()
-        else:
-            trace = gather_in_neighbors(graph.csc, schedule) + graph.src_global_base
+            replay = graph.na_replay()
+        elif replay is None:
+            replay = scheduled_na_replay(graph, schedule)
 
         fvb = cfg.feature_vector_bytes
         before_hits = self.buffer.stats.hits
         misses, missed_ids = self.buffer.access_many(
-            trace, collect_misses=True, artifact=artifact
+            replay.trace, collect_misses=True, artifact=replay
         )
         report.buffer_hits = self.buffer.stats.hits - before_hits
         report.buffer_misses = misses

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 from repro.accelerator.config import HiHGNNConfig
 from repro.accelerator.hihgnn import HiHGNNSimulator, SimulationReport
 from repro.accelerator.scheduler import similarity_schedule
+from repro.accelerator.stages import scheduled_na_replay
 from repro.frontend.config import GDRConfig
 from repro.frontend.decoupler import Decoupler, DecouplerReport
 from repro.frontend.recoupler import Recoupler, RecouplerReport
@@ -63,6 +64,7 @@ class FrontendReport:
 
 
 #: Per semantic graph: its restructure and the frontend's cost for it.
+#: Produced by :meth:`GDRFrontend.run_pass`.
 FrontendPass = list[tuple[RestructureResult, FrontendReport]]
 
 
@@ -137,6 +139,26 @@ class GDRFrontend:
             str(graph.relation), _fieldwise_sum(dec), _fieldwise_sum(rec)
         )
 
+    def run_pass(self, semantic_graphs: list[SemanticGraph]) -> FrontendPass:
+        """Restructure every graph and stage its leaves for replay.
+
+        Each restructure carries the NA replay artifact of every leaf
+        in its schedule order, stack distances included, so the runs
+        that share the pass (every HGNN model) replay without
+        regathering. Leaves then drop their CSR and CSC views, which
+        only scheduling and the gather read.
+        """
+        computed = [self.restructure(sg) for sg in semantic_graphs]
+        for result, _ in computed:
+            leaves = result.leaves()
+            result.leaf_replays = [
+                scheduled_na_replay(sub, schedule) for sub, schedule in leaves
+            ]
+            for (sub, _), replay in zip(leaves, result.leaf_replays):
+                replay.distances
+                sub._csr = sub._csc = None
+        return computed
+
 
 class GDRHGNNSystem:
     """HiHGNN + GDR-HGNN with pipelined frontend/accelerator execution."""
@@ -182,7 +204,7 @@ class GDRHGNNSystem:
         of ``semantic_graphs``, in the same order. It depends on no model,
         so callers may share one across models (as
         :meth:`DatasetArtifacts.frontend_pass` does); it is only read.
-        When omitted, the frontend restructures each graph here.
+        When omitted, :meth:`GDRFrontend.run_pass` computes it here.
 
         Returns a :class:`SimulationReport` whose ``total_cycles``
         includes exposed frontend latency, whose DRAM statistics merge
@@ -192,7 +214,7 @@ class GDRHGNNSystem:
         if semantic_graphs is None:
             semantic_graphs = build_semantic_graphs(graph)
         if frontend_pass is None:
-            frontend_pass = [self.frontend.restructure(g) for g in semantic_graphs]
+            frontend_pass = self.frontend.run_pass(semantic_graphs)
         order = similarity_schedule(semantic_graphs)
         ordered = [semantic_graphs[i] for i in order]
         frontend_reports = [frontend_pass[i][1] for i in order]

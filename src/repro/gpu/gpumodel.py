@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.gpu.config import GPUConfig, T4
 from repro.graph.hetero import HeteroGraph
@@ -12,7 +12,7 @@ from repro.memory.dram import DRAMStats
 from repro.models.base import ModelConfig
 from repro.models.workload import get_model
 
-__all__ = ["GPUReport", "GPUSimulator"]
+__all__ = ["GPUReport", "GPUSimulator", "L2Pass", "replay_l2"]
 
 # GPUs issue DRAM requests at cache-line granularity (128 B on
 # Turing/Ampere); the accelerator issues whole-feature bursts. "Number
@@ -55,6 +55,43 @@ class GPUReport:
         if self.time_ms <= 0:
             return float("inf")
         return other.time_ms / self.time_ms
+
+
+@dataclass(frozen=True)
+class L2Pass:
+    """One GPU's L2 replay of a dataset's NA traces.
+
+    Attributes:
+        misses: L2 misses per semantic graph, in input order.
+        stats: the L2's statistics after the last graph.
+        histogram: Fig. 2 replacement histogram of the L2's fetches.
+    """
+
+    misses: tuple[int, ...]
+    stats: BufferStats
+    histogram: dict[int, dict[str, float]]
+
+
+def replay_l2(
+    semantic_graphs: list[SemanticGraph], config: GPUConfig, entry_bytes: int
+) -> L2Pass:
+    """Stream every graph's NA trace through ``config``'s L2, in order.
+
+    DGL runs relations back-to-back without flushing, so the L2 state
+    carries from one graph to the next. The result depends on the
+    topology, ``config`` and the feature-vector size only, never on the
+    model, so every model's run on a dataset may share one.
+    """
+    l2 = FeatureBuffer(
+        int(config.l2_bytes * config.l2_feature_fraction),
+        entry_bytes,
+        name=f"{config.name}-l2",
+    )
+    misses = tuple(
+        l2.access_many(sg.na_trace(), artifact=sg.na_replay())
+        for sg in semantic_graphs
+    )
+    return L2Pass(misses, l2.stats, l2.replacement_histogram())
 
 
 class GPUSimulator:
@@ -113,8 +150,16 @@ class GPUSimulator:
         model_name: str,
         *,
         semantic_graphs: list[SemanticGraph] | None = None,
+        l2_pass: L2Pass | None = None,
     ) -> GPUReport:
-        """Simulate one inference pass of ``model_name`` on ``graph``."""
+        """Simulate one inference pass of ``model_name`` on ``graph``.
+
+        ``l2_pass`` is :func:`replay_l2` of ``(semantic_graphs,
+        self.config, feature_vector_bytes)``. Callers share one across
+        models (the GPU platforms memoize it on their
+        :class:`~repro.platforms.base.DatasetArtifacts`); it is only
+        read. When omitted, the L2 is replayed here.
+        """
         cfg = self.config
         model = get_model(model_name, self.model_config)
         mc = model.config
@@ -124,10 +169,10 @@ class GPUSimulator:
         if semantic_graphs is None:
             semantic_graphs = build_semantic_graphs(graph)
 
-        dram = DRAMStats()
-        l2_capacity = int(cfg.l2_bytes * cfg.l2_feature_fraction)
-        l2 = FeatureBuffer(l2_capacity, fvb, name=f"{cfg.name}-l2")
+        if l2_pass is None:
+            l2_pass = replay_l2(semantic_graphs, cfg, fvb)
 
+        dram = DRAMStats()
         launches = 0
         seconds = cfg.fixed_overhead_ms / 1e3
         stage_time = {"ip": 0.0, "fp": 0.0, "na": 0.0, "sf": 0.0, "overhead": 0.0}
@@ -146,7 +191,7 @@ class GPUSimulator:
             self._count_bulk(dram, n * raw * fb + raw * mc.embed_dim * fb)
             self._count_bulk(dram, n * mc.embed_dim * fb, write=True)
 
-        for sg in semantic_graphs:
+        for sg, misses in zip(semantic_graphs, l2_pass.misses):
             active_src = len(sg.active_src())
             active_dst = len(sg.active_dst())
             sides = 2 if model.projects_destinations else 1
@@ -170,10 +215,7 @@ class GPUSimulator:
             self._count_bulk(dram, active_src * fvb, write=True)
 
             # NA: gather src features per edge through L2. Misses reach
-            # DRAM as line-granular requests. The trace and its replay
-            # artifact are cached on the semantic graph and shared with
-            # the accelerator simulations of the same dataset.
-            misses = l2.access_many(sg.na_trace(), artifact=sg.na_replay())
+            # DRAM as line-granular requests.
             scatter_bytes = misses * fvb
             dram.reads += misses * max(1, fvb // _LINE_BYTES)
             dram.bytes_read += misses * fvb
@@ -222,20 +264,19 @@ class GPUSimulator:
             self._count_bulk(dram, len(relations_in) * n * fvb)
             self._count_bulk(dram, n * fvb, write=True)
 
-        na_accesses = l2.stats.hits + l2.stats.misses
-        na_hit_ratio = l2.stats.hits / na_accesses if na_accesses else 0.0
-
         report = GPUReport(
             platform=cfg.name,
             model=model.name,
             dataset=graph.name,
             time_ms=seconds * 1e3,
             dram=dram,
-            l2=l2.stats,
-            na_l2_hit_ratio=na_hit_ratio,
+            l2=replace(l2_pass.stats),
+            na_l2_hit_ratio=l2_pass.stats.hit_ratio,
             kernel_launches=launches,
             stage_time_ms={k: v * 1e3 for k, v in stage_time.items()},
-            na_replacement_histogram=l2.replacement_histogram(),
+            na_replacement_histogram={
+                times: dict(row) for times, row in l2_pass.histogram.items()
+            },
         )
         report._bw_util = (
             min(1.0, dram.total_bytes / (cfg.peak_bytes_per_s * seconds))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import ClassVar
 
 from repro.gpu.config import A100, T4, GPUConfig
-from repro.gpu.gpumodel import GPUReport, GPUSimulator
+from repro.gpu.gpumodel import GPUReport, GPUSimulator, replay_l2
 from repro.platforms.base import DatasetArtifacts, Platform
 from repro.platforms.registry import register_platform
 
@@ -21,18 +21,30 @@ __all__ = ["GPUPlatform", "T4Platform", "A100Platform"]
 
 
 class GPUPlatform(Platform):
-    """DGL-on-GPU roofline simulation of one card."""
+    """DGL-on-GPU roofline simulation of one card.
+
+    The L2 replay is model-independent, so every model's cell on one
+    :class:`DatasetArtifacts` reads one memoized :func:`replay_l2`,
+    keyed by the whole card config and the feature-vector size.
+    """
 
     gpu_config: ClassVar[GPUConfig]
 
     def simulate(
         self, model_name: str, artifacts: DatasetArtifacts, **kwargs
     ) -> GPUReport:
-        simulator = GPUSimulator(self.gpu_config, self.context.model_config)
+        config = self.gpu_config
+        entry_bytes = self.context.model_config.feature_vector_bytes
+        l2_pass = artifacts.derived(
+            ("gpu-l2", config, entry_bytes),
+            lambda graphs: replay_l2(graphs, config, entry_bytes),
+        )
+        simulator = GPUSimulator(config, self.context.model_config)
         report = simulator.run(
             artifacts.graph,
             model_name,
             semantic_graphs=artifacts.semantic_graphs,
+            l2_pass=l2_pass,
             **kwargs,
         )
         return self._labelled(report)

@@ -199,9 +199,13 @@ class SemanticGraph:
     def na_replay(self) -> "TraceArtifact":
         """Replay artifact of :meth:`na_trace` (cached).
 
-        Stack distances are capacity- and state-independent, so one
-        artifact serves the T4 and A100 L2 models, every accelerator
-        lane, and all HGNN models.
+        Built with its stack distances when
+        :meth:`DatasetArtifacts.build <repro.platforms.base.DatasetArtifacts.build>`
+        warms the graph. Stack distances are capacity- and
+        state-independent, so it serves each GPU's L2 pass (one per
+        card and feature width) and every HiHGNN lane, for all HGNN
+        models. Restructured leaves replay their own artifacts, in
+        schedule order (:attr:`RestructureResult.leaf_replays`).
         """
         if self._na_artifact is None:
             from repro.memory.replay import TraceArtifact

@@ -145,10 +145,21 @@ class TraceArtifact:
     """Capacity-independent replay precomputation for one access trace.
 
     Holds previous-occurrence links, first/last-occurrence positions,
-    compacted id indices, and (lazily) the LRU stack distances. One
-    artifact serves every consumer of the same trace: the T4 and A100
-    L2 models, each accelerator lane, and restructured re-runs, across
-    all HGNN models (the trace is pure topology).
+    compacted id indices, and (lazily) the LRU stack distances. The
+    trace is pure topology, so one artifact serves every capacity and
+    every HGNN model. Who builds which:
+
+    - :meth:`DatasetArtifacts.build <repro.platforms.base.DatasetArtifacts.build>`
+      builds one per semantic graph (:meth:`SemanticGraph.na_replay`),
+      distances included, before any cell runs. Each GPU's L2 pass and
+      every HiHGNN cell replay it; pool workers adopt it through
+      shared memory (:meth:`from_parts`).
+    - :meth:`GDRFrontend.run_pass <repro.frontend.gdr.GDRFrontend.run_pass>`
+      builds one per non-empty restructured leaf, in its schedule
+      order, distances included, once per frontend pass; every
+      model's ``hihgnn+gdr`` cell replays it.
+    - Anything else (the ``restructurer=`` ablation, ad-hoc traces)
+      is built per call by the NA stage or :meth:`FeatureBuffer.access_many`.
     """
 
     def __init__(self, trace: np.ndarray) -> None:

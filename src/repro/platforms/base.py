@@ -6,8 +6,9 @@ platform turns a dataset into shared topology artifacts (:meth:`Platform.prepare
 and simulates one model on those artifacts (:meth:`Platform.simulate`).
 The split matters for the grid runner: ``prepare`` output is
 topology shared read-only by every platform x model cell, plus a
-lock-guarded memo of model-independent frontend passes filled lazily;
-``simulate`` owns all other mutable state and fans out across workers.
+lock-guarded memo of model-independent passes (GDR frontend passes,
+GPU L2 replays) filled lazily; ``simulate`` owns all other mutable
+state and fans out across workers.
 
 Adapters for the four paper platforms live next to the simulators they
 wrap (:mod:`repro.gpu.platform`, :mod:`repro.accelerator.platform`,
@@ -20,7 +21,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, TypeVar
 
 from repro.accelerator.config import HiHGNNConfig
 from repro.frontend.config import GDRConfig
@@ -32,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.frontend.gdr import FrontendPass, GDRFrontend
 
 __all__ = ["PlatformContext", "DatasetArtifacts", "Platform"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -55,35 +58,42 @@ class DatasetArtifacts:
 
     Holds the dataset graph and its SGB output with every lazy
     per-semantic-graph memo (CSR/CSC views, active vertex sets, NA
-    trace, replay artifact and its stack distances) forced eagerly, so
-    concurrent ``simulate`` calls never race on cache fills. The one
-    mutable part is the lock-guarded memo behind :meth:`frontend_pass`,
-    filled lazily on first use and only read afterwards.
+    trace, replay artifact and its stack distances) forced eagerly by
+    :meth:`build`, so concurrent ``simulate`` calls never race on cache
+    fills. The one mutable part is the lock-guarded memo behind
+    :meth:`derived`: model-independent passes over the semantic graphs
+    (the GDR frontend pass with its leaf replay artifacts, each GPU's
+    L2 replay), each computed on first use by the first cell that
+    needs it and only read afterwards. Nothing fills it eagerly, and a
+    process-pool worker fills its own.
     """
 
     graph: HeteroGraph
     semantic_graphs: list[SemanticGraph]
 
     def __post_init__(self) -> None:
-        self._passes: dict[tuple, FrontendPass] = {}
+        self._passes: dict[tuple, Any] = {}
         self._lock = threading.Lock()
 
-    def frontend_pass(self, frontend: GDRFrontend) -> FrontendPass:
-        """``frontend``'s restructure of every semantic graph, memoized.
+    def derived(self, key: tuple, compute: Callable[[list[SemanticGraph]], T]) -> T:
+        """``compute(semantic_graphs)``, computed once per ``key``.
 
-        A pass depends on topology and :attr:`GDRFrontend.key`, never on
-        the model, so every cell on these artifacts shares one and only
-        reads it. Leaf subgraphs drop their source-major CSR, which only
-        scheduling read, so the memo keeps what simulation needs.
+        ``key`` must name every parameter the result depends on; the
+        cells sharing it must depend on nothing else, and only read the
+        result.
         """
         with self._lock:
-            if frontend.key not in self._passes:
-                computed = [frontend.restructure(sg) for sg in self.semantic_graphs]
-                for result, _ in computed:
-                    for sub, _ in result.leaves():
-                        sub._csr = None
-                self._passes[frontend.key] = computed
-            return self._passes[frontend.key]
+            if key not in self._passes:
+                self._passes[key] = compute(self.semantic_graphs)
+            return self._passes[key]
+
+    def frontend_pass(self, frontend: GDRFrontend) -> FrontendPass:
+        """``frontend``'s pass over every semantic graph, memoized.
+
+        A pass depends on topology and :attr:`GDRFrontend.key`, never on
+        the model, so every cell on these artifacts shares one.
+        """
+        return self.derived(("frontend", *frontend.key), frontend.run_pass)
 
     @classmethod
     def build(

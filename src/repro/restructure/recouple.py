@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.graph.csr import gather_rows
 from repro.graph.semantic import SemanticGraph
+from repro.memory.replay import TraceArtifact
 from repro.restructure.backbone import BackbonePartition
 from repro.restructure.matching import MatchingResult
 
@@ -49,6 +50,10 @@ class RestructureResult:
             vertices should be aggregated for best locality.
         children: populated when restructuring recurses into subgraphs
             (``None`` entry when a subgraph was too small to recurse).
+        leaf_replays: NA replay artifacts of :meth:`leaves`, aligned
+            with it. The GDR frontend pass fills them once for every
+            model (:meth:`repro.frontend.gdr.GDRFrontend.run_pass`);
+            empty means each run builds its own.
     """
 
     original: SemanticGraph
@@ -57,6 +62,9 @@ class RestructureResult:
     subgraphs: list[SemanticGraph]
     dst_schedules: list[np.ndarray]
     children: list["RestructureResult | None"] = field(default_factory=list)
+    leaf_replays: list[TraceArtifact] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     @property
     def labels(self) -> tuple[str, ...]:

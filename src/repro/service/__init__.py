@@ -30,6 +30,7 @@ from repro.service.protocol import (
     BadRequest,
     Draining,
     QueueFull,
+    RequestTimeout,
     ServiceError,
 )
 from repro.service.registry import Delivery, JobRegistry, Ticket
@@ -45,6 +46,7 @@ __all__ = [
     "BadRequest",
     "Draining",
     "QueueFull",
+    "RequestTimeout",
     "Delivery",
     "JobRegistry",
     "Ticket",

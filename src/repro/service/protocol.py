@@ -62,6 +62,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -87,6 +88,14 @@ class BadRequest(ServiceError):
 
     code = "bad-request"
     http_status = 400
+
+
+class RequestTimeout(ServiceError):
+    """The request head and body did not arrive within the read
+    deadline (an idle or stalled client)."""
+
+    code = "request-timeout"
+    http_status = 408
 
 
 class Draining(ServiceError):

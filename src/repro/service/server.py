@@ -23,7 +23,10 @@ flips the registry into drain mode — queued cells come back as typed
 ``draining`` rejections, in-flight cells finish and deliver, new
 ``POST /run`` submissions get a 503. ``/health`` keeps answering 200
 (status ``"draining"``) until the last stream closes, then the server
-exits.
+closes the connections still sending their request and exits.
+
+A request's head and body must arrive within ``_READ_DEADLINE_S`` of
+the connection opening; an idle or stalled client gets a typed 408.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.platforms.failures import CellFailure
 from repro.service.protocol import (
     SERVICE_SCHEMA_VERSION,
     BadRequest,
+    RequestTimeout,
     ServiceError,
     end_envelope,
     error_body,
@@ -66,6 +70,8 @@ __all__ = ["SubmitPlan", "SimulationService", "ReproServer", "BackgroundServer"]
 #: anything larger is a client bug or abuse).
 _MAX_HEAD_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 1024 * 1024
+#: Seconds a client has to send its whole request (head and body).
+_READ_DEADLINE_S = 30.0
 
 
 @dataclass
@@ -240,6 +246,8 @@ class ReproServer:
         self._streams = 0
         self._conn_ids = itertools.count(1)
         self._drain_requested: asyncio.Event | None = None
+        # Handler tasks still reading their request, with their writer.
+        self._reading: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -275,6 +283,14 @@ class ReproServer:
                 await asyncio.sleep(0.05)
         finally:
             server.close()
+            # A connection still sending its request reads EOF and its
+            # handler returns; none is left for asyncio.run to cancel.
+            reading = list(self._reading.items())
+            for _task, writer in reading:
+                writer.close()
+            await asyncio.gather(
+                *(task for task, _ in reading), return_exceptions=True
+            )
             await server.wait_closed()
             self.service.stop()
 
@@ -298,15 +314,26 @@ class ReproServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
+            task = asyncio.current_task()
+            assert task is not None
+            self._reading[task] = writer
             try:
-                method, target, headers, body = await self._read_request(
-                    reader
+                method, target, headers, body = await asyncio.wait_for(
+                    self._read_request(reader), _READ_DEADLINE_S
                 )
+            except asyncio.TimeoutError:
+                error = RequestTimeout(
+                    f"request not received within {_READ_DEADLINE_S:g}s"
+                )
+                writer.write(http_response(error.http_status, error.body()))
+                return
             except ServiceError as exc:
                 writer.write(http_response(exc.http_status, exc.body()))
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
+            finally:
+                del self._reading[task]
             parts = urlsplit(target)
             path = parts.path
             query = parse_qs(parts.query)

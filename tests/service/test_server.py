@@ -9,6 +9,7 @@ rejecting queued and new work with typed errors.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
@@ -18,6 +19,7 @@ import pytest
 from repro.api import Session
 from repro.faults import FaultPlan, FaultRule
 from repro.service import ServiceClientError
+from repro.service import server as server_module
 from repro.service.protocol import canonical_json
 
 from tests.service.conftest import client_for, tiny_spec
@@ -285,6 +287,59 @@ class TestAbandonment:
         results = [e for e in envelopes if e["event"] == "result"]
         assert len(results) == len(list(spec.cells()))
         assert envelopes[-1]["ok"] is True
+
+
+IDLE = b""
+STALLED_BODY = b"POST /run HTTP/1.1\r\nContent-Length: 100\r\n\r\nabc"
+
+
+def _open_partial(server, data: bytes) -> socket.socket:
+    """A connection that sends ``data`` and then nothing more."""
+    sock = socket.create_connection((server.host, server.port), timeout=30)
+    if data:
+        sock.sendall(data)
+    return sock
+
+
+def _read_all(sock: socket.socket) -> bytes:
+    chunks = []
+    while True:
+        block = sock.recv(65536)
+        if not block:
+            return b"".join(chunks)
+        chunks.append(block)
+
+
+class TestReadDeadline:
+    @pytest.mark.parametrize(
+        "sent", [IDLE, STALLED_BODY], ids=["idle", "stalled-body"]
+    )
+    def test_slow_request_is_typed_408(self, launch, monkeypatch, sent):
+        monkeypatch.setattr(server_module, "_READ_DEADLINE_S", 0.2)
+        server = launch(jobs=1)
+        with _open_partial(server, sent) as sock:
+            raw = _read_all(sock)
+        assert raw.startswith(b"HTTP/1.1 408 ")
+        assert b'"code":"request-timeout"' in raw
+        # The server survives and keeps answering.
+        assert client_for(server).health()["status"] == "ok"
+
+    def test_drain_closes_reading_connections_quietly(self, launch, caplog):
+        server = launch(jobs=1)
+        idle = _open_partial(server, IDLE)
+        stalled = _open_partial(server, STALLED_BODY)
+        try:
+            assert client_for(server).health()["status"] == "ok"
+            with caplog.at_level(logging.ERROR):
+                server.stop(timeout=30)
+            # Both connections are closed without a response...
+            assert _read_all(idle) == b""
+            assert _read_all(stalled) == b""
+        finally:
+            idle.close()
+            stalled.close()
+        # ...and asyncio logged no cancelled handler.
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class TestDrain:
