@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
+
 __all__ = ["HashTableStats", "HashTable", "count_fifo_conflicts"]
 
 
@@ -51,7 +53,7 @@ def count_fifo_conflicts(keys: np.ndarray, num_sets: int, ways: int) -> int:
     key_sorted = key_sorted[keep]
 
     span = int(keys.max()) + 1
-    distinct = np.unique(set_sorted * span + key_sorted)
+    distinct = sorted_unique(set_sorted * span + key_sorted)
     distinct_per_set = np.bincount(distinct // span, minlength=num_sets)
     busy = distinct_per_set > ways
     if not busy.any():

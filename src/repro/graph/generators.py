@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
+
 __all__ = [
     "power_law_weights",
     "chung_lu_bipartite",
@@ -108,7 +110,7 @@ def chung_lu_bipartite(
         s = rng.choice(num_src, size=batch, p=src_weights)
         d = rng.choice(num_dst, size=batch, p=dst_weights)
         new_codes = s.astype(np.int64) * num_dst + d
-        codes = np.unique(np.concatenate([codes, new_codes]))
+        codes = sorted_unique(np.concatenate([codes, new_codes]))
         if len(codes) > num_edges:
             # Keep a deterministic random subset of the required size.
             keep = rng.choice(len(codes), size=num_edges, replace=False)
@@ -148,6 +150,12 @@ def community_bipartite(
     Vertex ids are assigned randomly with respect to blocks, so no
     consumer can exploit communities through id order alone -- they
     must be *discovered*, as GDR-HGNN does.
+
+    Every catalog dataset is generated here, so the output for a given
+    seed is pinned across commits (``tests/graph/test_generator_digests.py``).
+    Optimisations must keep every ``rng`` call in the same order with
+    the same sizes and arguments; only where draws are placed, and how
+    they are deduplicated, may change.
 
     Args:
         num_src: source-side vertex count.
@@ -239,22 +247,27 @@ def community_bipartite(
         s = np.empty(batch, dtype=np.int64)
         d = np.empty(batch, dtype=np.int64)
         cross = rng.random(batch) < mixing
-        for b in range(num_blocks):
-            sel = blocks == b
-            count = int(sel.sum())
-            if not count:
+        # One stable sort groups the edges by block, each block's in
+        # ascending position: the slots a ``blocks == b`` mask selects.
+        # Block ids fit a narrow dtype, which numpy radix-sorts.
+        order = np.argsort(
+            blocks.astype(np.min_scalar_type(num_blocks - 1)), kind="stable"
+        )
+        bounds = np.cumsum(np.bincount(blocks, minlength=num_blocks))[:-1]
+        for b, sel in enumerate(np.split(order, bounds)):
+            if not len(sel):
                 continue
             s[sel] = rng.choice(
-                src_members[b], size=count, p=src_member_weights[b]
+                src_members[b], size=len(sel), p=src_member_weights[b]
             )
             d[sel] = rng.choice(
-                dst_members[b], size=count, p=dst_member_weights[b]
+                dst_members[b], size=len(sel), p=dst_member_weights[b]
             )
         n_cross = int(cross.sum())
         if n_cross:
             d[cross] = rng.choice(num_dst, size=n_cross, p=dst_global_weights)
         new_codes = s * num_dst + d
-        codes = np.unique(np.concatenate([codes, new_codes]))
+        codes = sorted_unique(np.concatenate([codes, new_codes]))
         if len(codes) > num_edges:
             keep = rng.choice(len(codes), size=num_edges, replace=False)
             codes = np.sort(codes[keep])
@@ -277,7 +290,7 @@ def community_bipartite(
                     "edge sampling did not converge; lower num_edges "
                     "or exponents"
                 )
-            pool = np.setdiff1d(
+            pool = sorted_unique(
                 np.concatenate(
                     [
                         (
@@ -286,9 +299,9 @@ def community_bipartite(
                         ).ravel()
                         for b in range(num_blocks)
                     ]
-                ),
-                codes,
+                )
             )
+            pool = pool[np.isin(pool, codes, assume_unique=True, invert=True)]
             if len(pool) < missing:
                 # Cross-block edges are required; enumerate the full
                 # complement when that is affordable.
@@ -297,9 +310,9 @@ def community_bipartite(
                         "edge sampling did not converge; lower "
                         "num_edges or exponents"
                     )
-                pool = np.setdiff1d(
-                    np.arange(capacity, dtype=np.int64), codes
-                )
+                uncollected = np.ones(capacity, dtype=bool)
+                uncollected[codes] = False
+                pool = np.flatnonzero(uncollected)
             take = rng.choice(len(pool), size=missing, replace=False)
             codes = np.sort(np.concatenate([codes, pool[take]]))
 
@@ -342,7 +355,7 @@ def configuration_bipartite(
     src_stubs = np.repeat(np.arange(len(src_degrees), dtype=np.int64), src_degrees)
     dst_stubs = np.repeat(np.arange(len(dst_degrees), dtype=np.int64), dst_degrees)
     rng.shuffle(dst_stubs)
-    codes = np.unique(src_stubs * len(dst_degrees) + dst_stubs)
+    codes = sorted_unique(src_stubs * len(dst_degrees) + dst_stubs)
     return (
         (codes // len(dst_degrees)).astype(np.int64),
         (codes % len(dst_degrees)).astype(np.int64),

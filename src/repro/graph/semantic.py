@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.csr import CSR, gather_rows
+from repro.graph.csr import CSR, gather_rows, sorted_unique
 from repro.graph.hetero import HeteroGraph, Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -305,7 +305,12 @@ class SemanticGraph:
         return sg
 
     def reversed(self) -> "SemanticGraph":
-        """The reverse semantic graph (roles swapped)."""
+        """The reverse semantic graph (roles swapped).
+
+        The reverse's CSR is this graph's CSC (the identical
+        ``CSR.from_coo`` call) and vice versa, so whichever adjacency
+        and active-vertex caches exist are handed over, not rebuilt.
+        """
         return SemanticGraph(
             relation=self.relation.reversed(),
             num_src=self.num_dst,
@@ -316,6 +321,10 @@ class SemanticGraph:
             dst_global_base=self.src_global_base,
             src_feature_dim=self.dst_feature_dim,
             dst_feature_dim=self.src_feature_dim,
+            _csr=self._csc,
+            _csc=self._csr,
+            _active_src=self._active_dst,
+            _active_dst=self._active_src,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -378,7 +387,7 @@ def compose_metapath(
     if len(ends):
         counts = csr_b.indptr[mids + 1] - csr_b.indptr[mids]
         src_rep = np.repeat(first.src, counts)
-        packed = np.unique(src_rep * np.int64(second.num_dst) + ends)
+        packed = sorted_unique(src_rep * np.int64(second.num_dst) + ends)
         src = packed // second.num_dst
         dst = packed % second.num_dst
     else:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.csr import sorted_unique
 from repro.memory.replay import count_leq_before
 
 __all__ = ["CacheConfig", "CacheStats", "SetAssociativeCache"]
@@ -132,7 +133,7 @@ class SetAssociativeCache:
         K = 1 << (n - 1).bit_length() if n > 1 else 1
         order = (np.sort(set_idx * K + np.arange(n, dtype=np.int64)) & (K - 1))
         seg_sets = set_idx[order]
-        touched = np.unique(seg_sets)
+        touched = sorted_unique(seg_sets)
         prefix_tags = [
             np.fromiter(self._sets[s].keys(), dtype=np.int64,
                         count=len(self._sets[s]))

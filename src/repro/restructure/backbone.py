@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import gather_rows
+from repro.graph.csr import gather_rows, sorted_unique
 from repro.graph.semantic import SemanticGraph
 from repro.restructure.matching import MatchingResult
 
@@ -148,7 +148,7 @@ def select_backbone_konig(
         neighbors = gather_rows(csr, frontier)
         lens = indptr[frontier + 1] - indptr[frontier]
         along_matching = neighbors == np.repeat(match_src[frontier], lens)
-        fresh = np.unique(neighbors[~along_matching & ~dst_in_z[neighbors]])
+        fresh = sorted_unique(neighbors[~along_matching & ~dst_in_z[neighbors]])
         if not fresh.size:
             break
         dst_in_z[fresh] = True
@@ -223,7 +223,7 @@ def select_backbone_paper(
     if repair and graph.num_edges:
         uncovered = ~(src_in[graph.src] | dst_in[graph.dst])
         if uncovered.any():
-            src_in[np.unique(graph.src[uncovered])] = True
+            src_in[graph.src[uncovered]] = True
 
     return BackbonePartition(
         src_in_mask=src_in, dst_in_mask=dst_in, strategy="paper"

@@ -67,6 +67,25 @@ class TestSemanticGraph:
         assert rev.num_src == 2 and rev.num_dst == 3
         assert rev.edge_set() == {(1, 0), (0, 2)}
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_reversed_views_equal_a_fresh_build(self, small_acm, warm):
+        sg = max(build_semantic_graphs(small_acm), key=lambda g: g.num_edges)
+        if warm:
+            sg.csr, sg.csc, sg.active_src(), sg.active_dst()
+        rev = sg.reversed()
+        fresh = SemanticGraph(
+            rev.relation, rev.num_src, rev.num_dst,
+            src=rev.src.copy(), dst=rev.dst.copy(),
+        )
+        assert (rev._csr is sg._csc) and (rev._csc is sg._csr)
+        for view in ("csr", "csc"):
+            got, want = getattr(rev, view), getattr(fresh, view)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.num_cols == want.num_cols
+        assert np.array_equal(rev.active_src(), fresh.active_src())
+        assert np.array_equal(rev.active_dst(), fresh.active_dst())
+
 
 class TestSGB:
     def test_one_graph_per_relation(self, tiny_imdb):
