@@ -34,10 +34,14 @@ Counter provenance (who increments what):
 By default both the matching and the conflict replay run on the
 vectorized engines (:func:`repro.restructure.matching_vec.maximum_matching_vec`,
 :func:`repro.frontend.hashtable.count_fifo_conflicts`); ``naive=True``
-selects the original per-edge formulations. The two paths are
-bit-identical -- same matching, same counters, same report -- which
-the differential suite in ``tests/restructure/test_matching_vec.py``
-locks in across the scenario catalog.
+selects the references: the per-edge matching loop
+(:func:`repro.restructure.matching.maximum_matching_fifo`) and the
+scalar :meth:`~repro.frontend.hashtable.HashTable.lookup` /
+:meth:`~repro.frontend.hashtable.HashTable.insert` loop over the
+destination stream. The two paths are bit-identical -- same matching,
+same counters, same report -- which the differential suite in
+``tests/restructure/test_matching_vec.py`` locks in across the
+scenario catalog.
 """
 
 from __future__ import annotations
@@ -108,7 +112,9 @@ class Decoupler:
         # stream claims a FIFO slot while live.
         if self.naive:
             table = HashTable(cfg.hash_sets, cfg.hash_ways)
-            table.probe_many(graph.dst)
+            for k in graph.dst.tolist():
+                if table.lookup(k) is None:
+                    table.insert(k)
             conflicts = table.stats.conflicts
         else:
             conflicts = count_fifo_conflicts(

@@ -21,11 +21,13 @@ __all__ = ["HashTableStats", "HashTable", "count_fifo_conflicts"]
 def count_fifo_conflicts(keys: np.ndarray, num_sets: int, ways: int) -> int:
     """Conflicts a fresh table would record replaying ``keys``.
 
-    Bit-identical to ``HashTable(num_sets, ways).probe_many(keys)``
-    followed by ``stats.conflicts`` (differential-tested across the
-    scenario catalog), but without materializing slot assignments: all
-    sets replay their probe substreams *simultaneously*, one stream
-    position per step. Two reductions keep the step count small:
+    Bit-identical to ``stats.conflicts`` of a fresh
+    ``HashTable(num_sets, ways)`` after ``lookup(k) is None and
+    insert(k)`` for every ``k`` in ``keys`` (differential-tested
+    across the scenario catalog), but without materializing slot
+    assignments: all sets replay their probe substreams
+    *simultaneously*, one stream position per step. Two reductions
+    keep the step count small:
 
     - consecutive repeats of one key within a set are guaranteed hits
       (nothing was inserted in between), so runs collapse first;
@@ -156,89 +158,6 @@ class HashTable:
         self._next_slot += 1
         bucket[key] = slot
         return slot, conflicted
-
-    def probe_many(self, keys: np.ndarray) -> int:
-        """Replay the Decoupler's lookup / insert-on-miss stream at once.
-
-        Equivalent to ``for k in keys: lookup(k) is None and insert(k)``
-        -- same statistics, slot numbering and final set contents --
-        but vectorized: sets whose live-destination count fits their
-        associativity (the vast majority) are resolved with one
-        first-occurrence pass; only genuinely overflowing or pre-
-        populated sets replay their FIFO exactly.
-
-        Args:
-            keys: non-negative vertex ids in stream order.
-
-        Returns:
-            Number of FIFO slots allocated (i.e. inserts performed).
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        n = keys.shape[0]
-        self.stats.lookups += n
-        if n == 0:
-            return 0
-        sv = ((keys * 2654435761) & 0xFFFFFFFF) % self.num_sets
-        # First occurrence of each (set, key) pair, via one packed sort.
-        P = 1 << (n - 1).bit_length() if n > 1 else 1
-        comp = sv * (keys.max() + 1) + keys
-        sp = np.sort(comp * P + np.arange(n, dtype=np.int64))
-        pos_sorted = sp & (P - 1)
-        same = (sp // P)[1:] == (sp // P)[:-1]
-        first = np.ones(n, dtype=bool)
-        first[pos_sorted[1:][same]] = False
-        distinct_per_set = np.bincount(sv[first], minlength=self.num_sets)
-
-        touched = np.flatnonzero(distinct_per_set)
-        slow = [
-            int(s)
-            for s in touched.tolist()
-            if self._sets[s] or distinct_per_set[s] > self.ways
-        ]
-        miss = first
-        conflicts = 0
-        slow_set = set(slow)
-        if slow:
-            # Exact FIFO replay for the exceptional sets; fresh inserts
-            # temporarily store ``-position - 1`` so they can be told
-            # apart from pre-existing slot numbers when slots are
-            # assigned globally below.
-            so = np.sort(sv * P + np.arange(n, dtype=np.int64)) & (P - 1)
-            sv_sorted = sv[so]
-            for s in slow:
-                lo = np.searchsorted(sv_sorted, s, side="left")
-                hi = np.searchsorted(sv_sorted, s, side="right")
-                bucket = self._sets[s]
-                for p in so[lo:hi].tolist():
-                    k = int(keys[p])
-                    if k in bucket:
-                        miss[p] = False
-                        continue
-                    miss[p] = True
-                    if len(bucket) >= self.ways:
-                        oldest = next(iter(bucket))
-                        del bucket[oldest]
-                        conflicts += 1
-                    bucket[k] = -p - 1
-        # Slots follow global insert order, exactly as the scalar path.
-        insert_pos = np.flatnonzero(miss)
-        slot_base = self._next_slot
-        slot_of = {int(p): slot_base + i for i, p in enumerate(insert_pos)}
-        self._next_slot = slot_base + len(insert_pos)
-        for s in slow:
-            bucket = self._sets[s]
-            for k, v in bucket.items():
-                if v < 0:
-                    bucket[k] = slot_of[-v - 1]
-        for p in insert_pos.tolist():
-            s = int(sv[p])
-            if s not in slow_set:
-                self._sets[s][int(keys[p])] = slot_of[p]
-        inserts = int(len(insert_pos))
-        self.stats.inserts += inserts
-        self.stats.conflicts += conflicts
-        self.stats.evictions += conflicts
-        return inserts
 
     def remove(self, key: int) -> None:
         """Free ``key``'s slot if present."""

@@ -44,7 +44,12 @@ class RecouplerReport:
 
 
 class Recoupler:
-    """Hardware model of backbone selection + subgraph generation."""
+    """Hardware model of backbone selection + subgraph generation.
+
+    ``naive=True`` selects the scalar backbone reference of
+    :func:`~repro.restructure.backbone.select_backbone`; the community
+    schedule has one walk either way.
+    """
 
     def __init__(
         self,
@@ -68,11 +73,7 @@ class Recoupler:
             graph, matching, self.backbone_strategy, naive=self.naive
         )
         result = recouple(
-            graph,
-            matching,
-            partition,
-            community_budget=self.community_budget,
-            naive=self.naive,
+            graph, matching, partition, community_budget=self.community_budget
         )
 
         candidates = matching.size * 2  # matched sources and destinations

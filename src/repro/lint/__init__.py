@@ -10,17 +10,16 @@ REP002    durable I/O in platform modules is fault-injectable
 REP003    OS resource acquisitions reach release on all paths
 REP004    functions with a ``naive=`` parameter are test-referenced
 REP005    process-pool entrypoints and arguments are picklable
-REP006    no blocking I/O directly inside service coroutines
 REP007    project-wide lock acquisition order stays acyclic
 REP008    asyncio loop state only touched from the loop thread
-REP009    no blocking call *reachable* from a service coroutine
+REP009    no blocking call in or *reachable* from service coroutines
 REP010    cross-context instance state accessed under a common lock
 ========  ==========================================================
 
 (``REP000`` is reserved for lint-infrastructure findings: malformed
 waivers, unparseable files.)
 
-REP001–REP006 are single-module rules; REP007–REP010 are
+REP001–REP005 are single-module rules; REP007–REP010 are
 *interprocedural*: the engine's index pass parses every file first,
 then a project call graph (:mod:`repro.lint.callgraph`) built from
 per-function flow summaries (:mod:`repro.lint.flow`) answers

@@ -8,7 +8,6 @@ exactly like the platform and scenario registries).
 from __future__ import annotations
 
 from repro.lint.checks import (  # noqa: F401  (registration side effect)
-    async_io,
     determinism,
     fault_sites,
     lifecycle,
@@ -21,7 +20,6 @@ from repro.lint.checks import (  # noqa: F401  (registration side effect)
 )
 
 __all__ = [
-    "async_io",
     "determinism",
     "fault_sites",
     "lifecycle",

@@ -1,39 +1,39 @@
-"""REP009 — no blocking call *reachable* from a service coroutine.
+"""REP009 — no blocking call on, or *reachable* from, a service coroutine.
 
-REP006 catches ``time.sleep`` written directly inside an ``async
-def``; the failure it cannot see is the laundered version — the
-coroutine calls an innocent-looking sync helper, and the helper (or a
-helper's helper two modules away) sleeps, opens a file, shells out or
-takes an ``fcntl.flock``. The event loop stalls just the same, but the
-blocking line is nowhere near an ``async`` keyword.
+One blocking call on the event loop stalls *every* connected client:
+the health endpoint stops answering, streams stop flushing, and the
+drain watcher never runs. The repo's idiom is to push blocking work
+(store peeks, registry submission, anything that touches a lock or
+the disk) through ``loop.run_in_executor`` and keep coroutines to
+parsing, routing and ``await``-able writes.
 
-This rule closes that hole with the project call graph: for every
-``async def`` in the service layer, every non-awaited call edge is
-followed through sync project functions until a known-blocking call
-appears, and the finding is reported at the *coroutine's* call site
-with the full chain in the message (``_handle -> _load_manifest ->
-json_read: blocking call open``). Direct blocking calls are reported
-too (same sites REP006 flags, under this rule id) — which is also the
-graceful degradation: when the run sees a single file or the graph is
-cold, direct detection needs no edges at all.
+The rule is scoped to ``repro/service/`` modules (the only asyncio
+surface in the repo). It reports two shapes:
 
-The blocking vocabulary is REP006's set (shared, one source of truth)
-plus the lock syscalls a helper must never take on the loop's behalf:
-``fcntl.flock`` / ``fcntl.lockf``.
+- *direct*: an ``async def`` calls ``time.sleep`` or another
+  known-blocking primitive itself. Direct detection needs no call
+  edges, so it still works when the run sees a single file or the
+  graph is cold.
+- *laundered*: the coroutine calls an innocent-looking sync helper,
+  and the helper (or a helper's helper two modules away) sleeps,
+  opens a file, shells out or takes an ``fcntl.flock``. For every
+  ``async def`` in the service layer, every non-awaited call edge is
+  followed through sync project functions until a known-blocking
+  call appears, and the finding is reported at the *coroutine's*
+  call site with the full chain in the message (``_handle ->
+  _load_manifest -> json_read: blocking call open``).
+
 Awaited calls are exempt everywhere; pushing the helper through
 ``loop.run_in_executor`` both fixes the bug and silences the rule,
 because an executor submission is a reference, not a call edge.
+False positives (a call the checker cannot see is actually cheap)
+carry a ``# repro: lint-ok[REP009]`` waiver naming why.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.lint.checks.async_io import (
-    _BLOCKING_CALLS,
-    _BLOCKING_METHODS,
-    _BLOCKING_PREFIXES,
-)
 from repro.lint.findings import Finding
 from repro.lint.registry import Checker, register_check
 
@@ -43,18 +43,50 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TransitiveBlockingCheck"]
 
-#: Lock/syscall additions on top of REP006's blocking vocabulary.
-_EXTRA_BLOCKING = {
+#: Alias-resolved call targets that block the calling thread,
+#: including the lock syscalls a helper must never take on the loop's
+#: behalf.
+_BLOCKING_CALLS = {
+    "time.sleep",
+    "open",
+    "io.open",
+    "os.system",
+    "os.popen",
+    "os.waitpid",
+    "socket.socket",
+    "socket.create_connection",
+    "socket.getaddrinfo",
+    "socket.gethostbyname",
+    "select.select",
+    "urllib.request.urlopen",
+    "subprocess.run",
+    "subprocess.call",
+    "subprocess.check_call",
+    "subprocess.check_output",
+    "subprocess.Popen",
     "fcntl.flock",
     "fcntl.lockf",
 }
 
+#: Blocking libraries flagged by prefix (any attribute of them).
+_BLOCKING_PREFIXES = ("requests.",)
+
+#: Method names that are blocking regardless of receiver type — the
+#: ``pathlib.Path`` convenience I/O surface. Receiver types are not
+#: resolvable statically, so the names themselves are the contract.
+_BLOCKING_METHODS = {
+    "read_text",
+    "read_bytes",
+    "write_text",
+    "write_bytes",
+}
+
 
 def _blocking_reason(callee: str, site: "CallSite") -> str | None:
-    """Classify a summarized call target as blocking, like REP006."""
+    """Classify a summarized call target as blocking, or ``None``."""
     if site.awaited:
         return None
-    if callee in _BLOCKING_CALLS or callee in _EXTRA_BLOCKING:
+    if callee in _BLOCKING_CALLS:
         return callee
     for prefix in _BLOCKING_PREFIXES:
         if callee.startswith(prefix):
@@ -78,7 +110,7 @@ def _project_findings(project: "ProjectContext") -> list[tuple[str, int, int, st
         if not info.is_async or not _in_service(summary.relpath):
             continue
         symbol = name.split(":", 1)[1]
-        # Direct blocking calls (REP006-equivalent; works graph-cold).
+        # Direct blocking calls (works graph-cold).
         for site in info.calls:
             reason = _blocking_reason(site.callee, site)
             if reason is not None:

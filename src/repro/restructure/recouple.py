@@ -16,6 +16,13 @@ Each subgraph additionally gets a *destination schedule*: an order of
 destination vertices that keeps consecutive aggregations inside one
 backbone community, which is what actually shrinks reuse distance in
 the accelerator's NA buffer.
+
+The schedule has one implementation, the scalar walk
+:func:`_community_schedule`, and no separate reference:
+``tests/restructure/test_schedule_digests.py`` pins its output across
+commits. The backbone it walks has a vectorized default and a
+``naive=True`` reference in
+:func:`repro.restructure.backbone.select_backbone`.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import gather_rows
 from repro.graph.semantic import SemanticGraph
 from repro.memory.replay import TraceArtifact
 from repro.restructure.backbone import BackbonePartition
@@ -116,7 +122,7 @@ class RestructureResult:
             assert len(schedule) == len(active), "schedule repeats destinations"
 
 
-def _community_schedule_naive(sub: SemanticGraph, budget: int = 256) -> np.ndarray:
+def _community_schedule(sub: SemanticGraph, budget: int = 256) -> np.ndarray:
     """Destination order visiting one backbone community at a time.
 
     Breadth-first traversal over the subgraph: from a seed destination,
@@ -137,6 +143,10 @@ def _community_schedule_naive(sub: SemanticGraph, budget: int = 256) -> np.ndarr
     Backbone Searcher emits each backbone vertex's neighborhood
     together, and the Graph Generator preserves that grouping; the
     budget corresponds to the Recoupler FIFO depth.
+
+    Adjacency and the visited flags are plain lists, converted once per
+    call: per pop, slicing a numpy row and converting it costs more
+    than walking the row itself.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -144,9 +154,11 @@ def _community_schedule_naive(sub: SemanticGraph, budget: int = 256) -> np.ndarr
     if not len(active):
         return active
     csr, csc = sub.csr, sub.csc
+    csr_indptr, csr_indices = csr.indptr.tolist(), csr.indices.tolist()
+    csc_indptr, csc_indices = csc.indptr.tolist(), csc.indices.tolist()
     dst_deg = sub.dst_degrees()
-    visited_dst = np.zeros(sub.num_dst, dtype=bool)
-    visited_src = np.zeros(sub.num_src, dtype=bool)
+    visited_dst = [False] * sub.num_dst
+    visited_src = [False] * sub.num_src
     order: list[int] = []
     seeds = active[np.argsort(-dst_deg[active], kind="stable")]
     queue: deque[int] = deque()
@@ -161,187 +173,16 @@ def _community_schedule_naive(sub: SemanticGraph, budget: int = 256) -> np.ndarr
             order.append(v)
             if sources_absorbed >= budget:
                 continue  # drain without growing this community
-            for s in csc.neighbors(v).tolist():
+            for s in csc_indices[csc_indptr[v] : csc_indptr[v + 1]]:
                 if visited_src[s]:
                     continue
                 visited_src[s] = True
                 sources_absorbed += 1
-                for w in csr.neighbors(s).tolist():
+                for w in csr_indices[csr_indptr[s] : csr_indptr[s + 1]]:
                     if not visited_dst[w]:
                         visited_dst[w] = True
                         queue.append(w)
     return np.array(order, dtype=np.int64)
-
-
-#: A pop whose source row is at least this long routes the walk to the
-#: batched pass (one fat row already amortizes its numpy overhead).
-_FAT_ROW = 96
-
-#: A queue at least this long routes the walk to the batched pass (the
-#: whole queue becomes one batch, so the stream is at least this big).
-_BATCH_MIN = 32
-
-
-def _capped_traverse(
-    seed: int,
-    csr,
-    csc,
-    visited_src: np.ndarray,
-    visited_dst: np.ndarray,
-    budget: int,
-    order_parts: list[np.ndarray],
-) -> None:
-    """One seed's budget-capped community walk, exact naive semantics.
-
-    The walk interleaves two phases over the naive FIFO queue.  Small
-    communities run the scalar per-pop loop verbatim; the moment a pop
-    fronts a fat source row or the queue itself grows long, the whole
-    remaining queue is handed to a batched phase that processes it one
-    *generation* per numpy pass (a generation = the queue's contents at
-    a point in time; FIFO order means every generation pops contiguously
-    and in enqueue order, so any such batch is a contiguous run of naive
-    pops -- true breadth-first levels are just the special case).
-
-    Per generation the batched phase:
-
-    1. Emits the generation (each queued destination pops in order,
-       whether or not it still expands).
-    2. Ends the walk if the budget was already spent -- no pop
-       enqueues, so draining the generation empties the queue.
-    3. Concatenates the generation's source rows in pop order and keeps
-       the first occurrence of each unvisited source -- exactly the
-       scalar loop's visited check, where the earliest pop wins a
-       shared source.
-    4. Cuts expansion at the budget: a pop expands iff the sources
-       absorbed before it are under budget, and per-pop counts are
-       non-negative, so the expanding pops are a prefix of the
-       generation (exclusive cumulative-sum cut); the crossing pop
-       still absorbs its whole row, like the scalar loop, whose budget
-       check sits before the row walk.
-    5. Forms the next generation from the absorbed sources' destination
-       rows, concatenated in absorption order with first-occurrence
-       dedup against visited destinations (the scalar loop enqueues
-       exactly that stream).  A small next generation goes back on the
-       queue for the scalar phase instead.
-    """
-    csr_indptr, csr_indices = csr.indptr, csr.indices
-    csc_indptr, csc_indices = csc.indptr, csc.indices
-    visited_dst[seed] = True
-    queue: deque[int] = deque([seed])
-    scalar_order: list[int] = []
-    absorbed = 0
-    while queue:
-        # Scalar phase: the naive loop, plus a hand-off check per pop.
-        while queue:
-            if absorbed >= budget:
-                scalar_order.extend(queue)
-                queue.clear()
-                break
-            v = queue[0]
-            beg = csc_indptr[v]
-            end = csc_indptr[v + 1]
-            if end - beg >= _FAT_ROW or len(queue) >= _BATCH_MIN:
-                break  # batch the whole remaining queue
-            queue.popleft()
-            scalar_order.append(v)
-            for s in csc_indices[beg:end].tolist():
-                if visited_src[s]:
-                    continue
-                visited_src[s] = True
-                absorbed += 1
-                for w in csr_indices[
-                    csr_indptr[s] : csr_indptr[s + 1]
-                ].tolist():
-                    if not visited_dst[w]:
-                        visited_dst[w] = True
-                        queue.append(w)
-        if not queue:
-            break
-        if scalar_order:
-            order_parts.append(np.array(scalar_order, dtype=np.int64))
-            scalar_order = []
-        level = np.fromiter(queue, dtype=np.int64, count=len(queue))
-        queue.clear()
-        # Batched phase: one numpy pass per generation.
-        while level.size:
-            order_parts.append(level)
-            if absorbed >= budget:
-                break  # the generation just drained; nothing enqueued
-            src_stream = gather_rows(csc, level)
-            uniq, first = np.unique(src_stream, return_index=True)
-            keep = np.sort(first[~visited_src[uniq]])
-            if not keep.size:
-                break  # no new sources, so no next generation
-            lens = csc_indptr[level + 1] - csc_indptr[level]
-            owner = np.repeat(np.arange(level.size, dtype=np.int64), lens)
-            new_counts = np.bincount(owner[keep], minlength=level.size)
-            before = absorbed + np.concatenate(([0], np.cumsum(new_counts)[:-1]))
-            expanding = int(np.searchsorted(before, budget, side="left"))
-            if expanding < level.size:
-                keep = keep[owner[keep] < expanding]
-            new_src = src_stream[keep]
-            visited_src[new_src] = True
-            absorbed += int(new_src.size)
-            dst_stream = gather_rows(csr, new_src)
-            if not dst_stream.size:
-                break
-            uniq, first = np.unique(dst_stream, return_index=True)
-            nxt = dst_stream[np.sort(first[~visited_dst[uniq]])]
-            if not nxt.size:
-                break
-            visited_dst[nxt] = True
-            if nxt.size < _BATCH_MIN:
-                queue.extend(nxt.tolist())
-                break  # hand the small generation back to the scalar phase
-            level = nxt
-    if scalar_order:
-        order_parts.append(np.array(scalar_order, dtype=np.int64))
-
-
-def _community_schedule_vec(sub: SemanticGraph, budget: int = 256) -> np.ndarray:
-    """Vectorized :func:`_community_schedule_naive`; identical output.
-
-    Same seed-ordered sequence of breadth-first community walks; each
-    walk runs through :func:`_capped_traverse`, which batches one
-    whole breadth-first level per numpy pass and cuts the expansion
-    budget with an exclusive cumulative sum over per-pop source
-    counts, so no per-edge Python loop survives on this path.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    active = sub.active_dst()
-    if not len(active):
-        return active
-    csr, csc = sub.csr, sub.csc
-    dst_deg = sub.dst_degrees()
-    seeds = active[np.argsort(-dst_deg[active], kind="stable")]
-
-    visited_dst = np.zeros(sub.num_dst, dtype=bool)
-    visited_src = np.zeros(sub.num_src, dtype=bool)
-    order_parts: list[np.ndarray] = []
-    for seed in seeds.tolist():
-        if visited_dst[seed]:
-            continue
-        _capped_traverse(
-            seed, csr, csc, visited_src, visited_dst, budget, order_parts
-        )
-    return np.concatenate(order_parts).astype(np.int64, copy=False)
-
-
-def _community_schedule(
-    sub: SemanticGraph, budget: int = 256, *, naive: bool = False
-) -> np.ndarray:
-    """Community destination schedule (vectorized by default).
-
-    ``naive=True`` runs the original per-edge traversal; both paths are
-    bit-identical (differential-tested across the scenario catalog).
-    Small subgraphs route to the scalar traversal either way: below a
-    few thousand edges the vectorized path's per-call setup (degree
-    arrays, fat-row masks) costs more than the walk it saves.
-    """
-    if naive or sub.num_edges < 2048:
-        return _community_schedule_naive(sub, budget)
-    return _community_schedule_vec(sub, budget)
 
 
 def recouple(
@@ -350,7 +191,6 @@ def recouple(
     partition: BackbonePartition,
     *,
     community_budget: int = 256,
-    naive: bool = False,
 ) -> RestructureResult:
     """Split ``graph`` into its three backbone subgraphs (Algorithm 2).
 
@@ -361,9 +201,6 @@ def recouple(
         partition: a valid vertex-cover partition of ``graph``.
         community_budget: source cap per scheduled community (see
             :func:`_community_schedule`).
-        naive: schedule communities with the original per-edge
-            traversal instead of the vectorized engine (identical
-            output, reference path).
 
     Returns:
         A validated :class:`RestructureResult`.
@@ -383,7 +220,7 @@ def recouple(
     for idx in range(3):
         sub = graph.edge_subgraph(labels == idx)
         subgraphs.append(sub)
-        schedules.append(_community_schedule(sub, community_budget, naive=naive))
+        schedules.append(_community_schedule(sub, community_budget))
 
     result = RestructureResult(
         original=graph,

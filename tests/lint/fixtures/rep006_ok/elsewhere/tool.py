@@ -1,4 +1,4 @@
-"""REP006 scope fixture: async code outside repro/service/ is not
+"""REP009 scope fixture: async code outside repro/service/ is not
 this rule's business (there is no event loop contract to protect)."""
 
 import time

@@ -1,8 +1,8 @@
 """REP009 fire fixture: blocking work laundered through sync helpers.
 
 Expected REP009 findings (3):
-* the direct ``time.sleep`` (the REP006-equivalent case — also the
-  only one REP006 itself can see);
+* the direct ``time.sleep`` (the case that needs no call edges, so a
+  single-file, graph-cold run still sees it);
 * the call into ``_load_manifest`` (same file), whose body opens a
   file;
 * the call into ``rep009_bad.helpers.slow_transform`` (cross-module),

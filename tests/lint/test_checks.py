@@ -111,9 +111,9 @@ class TestParity:
 class TestAsyncBlocking:
     def test_fires_on_blocking_calls_in_async_defs(self):
         result = lint_fixture(
-            "rep006_bad/service/streamy.py", rules=["REP006"]
+            "rep006_bad/service/streamy.py", rules=["REP009"]
         )
-        assert _rules(result) == ["REP006"]
+        assert _rules(result) == ["REP009"]
         messages = "\n".join(f.message for f in result.findings)
         assert "time.sleep" in messages
         assert "open" in messages
@@ -129,13 +129,13 @@ class TestAsyncBlocking:
 
     def test_silent_on_executor_idiom(self):
         result = lint_fixture(
-            "rep006_ok/service/streamy.py", rules=["REP006"]
+            "rep006_ok/service/streamy.py", rules=["REP009"]
         )
         assert result.findings == []
 
     def test_out_of_scope_files_ignored(self):
         result = lint_fixture(
-            "rep006_ok/elsewhere/tool.py", rules=["REP006"]
+            "rep006_ok/elsewhere/tool.py", rules=["REP009"]
         )
         assert result.findings == []
 

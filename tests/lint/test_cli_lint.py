@@ -70,7 +70,7 @@ class TestLintExitCodes:
         out = capsys.readouterr().out
         for rule in (
             "REP001", "REP002", "REP003", "REP004", "REP005",
-            "REP006", "REP007", "REP008", "REP009", "REP010",
+            "REP007", "REP008", "REP009", "REP010",
         ):
             assert rule in out
 

@@ -2,10 +2,9 @@
 
 Same discipline as ``test_checks.py``: every rule pins its exact
 finding count on the ``*_bad`` fixture and silence on the ``*_ok``
-twin. The REP009 class additionally pins the relationship to REP006 —
-the transitive findings must be invisible to the direct-only rule —
-and the graceful degradation to direct-only detection when the run
-sees a single file and the cache is disabled.
+twin. The REP009 class additionally pins the graceful degradation to
+direct-only detection when the run sees a single file and the cache is
+disabled.
 """
 
 from tests.lint.conftest import lint_fixture
@@ -66,14 +65,6 @@ class TestTransitiveBlocking:
             "time.sleep reachable from async def handle() via slow_transform"
             in messages
         )
-
-    def test_rep006_alone_cannot_see_the_transitive_cases(self):
-        # The same tree under the direct-only rule: just the inline
-        # time.sleep. The two laundered helpers are REP009's reason to
-        # exist.
-        result = lint_fixture("rep009_bad", rules=["REP006"])
-        assert len(result.findings) == 1
-        assert "time.sleep" in result.findings[0].message
 
     def test_direct_detection_survives_single_file_no_cache(self):
         # One file, cache disabled (lint_fixture never passes a cache

@@ -6,14 +6,14 @@ NA access streams of scenario-catalog workloads — including the
 adversarial stress families (worst-case cyclic thrash, no-reuse
 uniform, single-hub star) and a full skew sweep — and asserts the
 vectorized paths (`FeatureBuffer.access_many`,
-`SetAssociativeCache.access_lines`, `HashTable.probe_many`) are
-bit-exact against the element-at-a-time references.
+`SetAssociativeCache.access_lines`) are bit-exact against the
+element-at-a-time references. The same traces feed the FIFO
+hash-conflict differential in ``tests/restructure/test_matching_vec.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.frontend.hashtable import HashTable
 from repro.graph.semantic import build_semantic_graphs
 from repro.memory.buffer import FeatureBuffer
 from repro.memory.cache import CacheConfig, SetAssociativeCache
@@ -122,23 +122,3 @@ class TestCacheDifferential:
         assert scalar.stats.bytes_from_dram == batch.stats.bytes_from_dram
         assert scalar._sets == batch._sets
         assert scalar.occupancy_lines == batch.occupancy_lines
-
-
-@pytest.mark.parametrize("ref", SCENARIO_REFS)
-class TestHashTableDifferential:
-    def test_inserts_conflicts_and_sets_bit_exact(self, ref):
-        scalar = HashTable(num_sets=16, ways=2)
-        batch = HashTable(num_sets=16, ways=2)
-        for trace in _traces(ref):
-            inserts = 0
-            for key in trace.tolist():
-                if scalar.lookup(key) is None:
-                    scalar.insert(key)
-                    inserts += 1
-            assert batch.probe_many(trace) == inserts
-        assert scalar.stats.lookups == batch.stats.lookups
-        assert scalar.stats.inserts == batch.stats.inserts
-        assert scalar.stats.conflicts == batch.stats.conflicts
-        assert scalar.stats.evictions == batch.stats.evictions
-        assert scalar._sets == batch._sets
-        assert scalar.occupancy == batch.occupancy

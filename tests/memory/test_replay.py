@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frontend.hashtable import HashTable
 from repro.memory.buffer import FeatureBuffer
 from repro.memory.cache import CacheConfig, SetAssociativeCache
 from repro.memory.replay import TraceArtifact, count_leq_before, replay_lru
@@ -160,29 +159,6 @@ class TestSetAssociativeCacheEquivalence:
         cache = SetAssociativeCache(cfg)
         assert cache.access(0, 256) == 4
         assert cache.access(0, 256) == 0
-
-
-class TestHashTableEquivalence:
-    def test_randomized_vs_scalar(self):
-        rng = np.random.default_rng(13)
-        for trial in range(60):
-            num_sets = int(rng.integers(1, 10))
-            ways = int(rng.integers(1, 5))
-            a = HashTable(num_sets, ways)
-            b = HashTable(num_sets, ways)
-            for call in range(3):
-                keys = rng.integers(0, 50, int(rng.integers(0, 150))).astype(
-                    np.int64
-                )
-                for k in keys.tolist():
-                    if a.lookup(k) is None:
-                        a.insert(k)
-                b.probe_many(keys)
-                assert vars(a.stats) == vars(b.stats), (trial, call)
-                assert a._next_slot == b._next_slot
-                for s in range(num_sets):
-                    assert a._sets[s] == b._sets[s]
-            assert a.occupancy == b.occupancy
 
 
 @given(

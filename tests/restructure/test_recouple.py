@@ -81,31 +81,6 @@ class TestRecouple:
         assert result.backbone_size == result.matching.size  # König
 
 
-class TestCommunityScheduleParity:
-    """Differential contract of the ``naive=`` switch itself."""
-
-    def test_naive_matches_vectorized_small(self, make_semantic):
-        sg = make_semantic(12, 12, num_edges=40, seed=7)
-        np.testing.assert_array_equal(
-            _community_schedule(sg, 16, naive=True),
-            _community_schedule(sg, 16, naive=False),
-        )
-
-    def test_naive_matches_vectorized_above_dispatch_threshold(self):
-        # Above 2048 edges the default path is the vectorized engine;
-        # the naive traversal must stay bit-identical there too.
-        rng = np.random.default_rng(11)
-        num_src = num_dst = 80
-        codes = rng.choice(num_src * num_dst, size=3000, replace=False)
-        edges = [(int(c) // num_dst, int(c) % num_dst) for c in codes]
-        sg = build_semantic(num_src, num_dst, edges)
-        assert sg.num_edges >= 2048
-        np.testing.assert_array_equal(
-            _community_schedule(sg, 64, naive=True),
-            _community_schedule(sg, 64, naive=False),
-        )
-
-
 @given(
     num_src=st.integers(2, 20),
     num_dst=st.integers(2, 20),
