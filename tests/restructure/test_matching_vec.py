@@ -30,6 +30,7 @@ from repro.scenarios import build_scenario
 from tests.memory.test_differential_scenarios import (
     SCENARIO_REFS as REPLAY_REFS,
 )
+from tests.restructure.test_recouple import assert_walk_invariants
 
 #: Scenario references exercising the adversarial shapes: complete
 #: bipartite cyclic scans, degenerate single-hub skew, no-reuse
@@ -227,6 +228,15 @@ class TestBackboneAndScheduleDifferential:
             ):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("ref", STRESS_REFS)
+    @pytest.mark.parametrize("budget", [1, 7, 256])
+    def test_scenario_schedules_follow_walk(self, ref, budget):
+        for sg in _scenario_graphs(ref):
+            matching = maximum_matching_vec(sg)
+            result = recouple(sg, matching, select_backbone(sg, matching, "konig"))
+            for graph in (sg, *result.subgraphs):
+                assert_walk_invariants(graph, budget)
+
     @settings(max_examples=40, deadline=None)
     @given(
         num_src=st.integers(1, 30),
@@ -250,6 +260,7 @@ class TestBackboneAndScheduleDifferential:
         if active.size:
             degrees = sg.dst_degrees()[active]
             assert schedule[0] == active[np.argmax(degrees)]
+        assert_walk_invariants(sg, budget)
 
 
 class TestFrontendDifferential:

@@ -81,6 +81,87 @@ class TestRecouple:
         assert result.backbone_size == result.matching.size  # König
 
 
+def assert_walk_invariants(sg, budget):
+    """Check ``_community_schedule(sg, budget)`` against the walk's spec.
+
+    The schedule must be an int64 permutation of the active destinations
+    that splits into communities: each starts at the unscheduled
+    destination of highest degree (stable), and holds exactly the
+    destinations reached through the sources its members absorbed, where
+    a member absorbs its row's new sources only while the community has
+    absorbed fewer than ``budget``. Members are taken in the schedule's
+    own order; the FIFO order within a community is left to the digest
+    pin in ``test_schedule_digests.py``.
+    """
+    schedule = _community_schedule(sg, budget)
+    active = sg.active_dst()
+    assert schedule.dtype == np.int64
+    assert np.array_equal(np.sort(schedule), active)
+    csr, csc = sg.csr, sg.csc
+    seeds = active[np.argsort(-sg.dst_degrees()[active], kind="stable")]
+    seeds = seeds.tolist()
+    order = schedule.tolist()
+    reached = np.zeros(sg.num_dst, dtype=bool)
+    absorbed_src = np.zeros(sg.num_src, dtype=bool)
+    next_seed = pos = 0
+    while pos < len(order):
+        while reached[seeds[next_seed]]:
+            next_seed += 1
+        assert order[pos] == seeds[next_seed], ("community seed", pos)
+        reached[order[pos]] = True
+        pending, absorbed = 1, 0
+        while pending:
+            assert pos < len(order), "community cut short"
+            v = order[pos]
+            assert reached[v], ("destination not reached", pos, v)
+            pending -= 1
+            pos += 1
+            if absorbed >= budget:
+                continue
+            for s in csc.indices[csc.indptr[v] : csc.indptr[v + 1]].tolist():
+                if absorbed_src[s]:
+                    continue
+                absorbed_src[s] = True
+                absorbed += 1
+                row = csr.indices[csr.indptr[s] : csr.indptr[s + 1]]
+                fresh = np.unique(row[~reached[row]])
+                reached[fresh] = True
+                pending += len(fresh)
+
+
+class TestCommunityScheduleWalk:
+    """The one walk on the inputs of the former dispatch boundary."""
+
+    def test_walk_invariants_small(self, make_semantic):
+        sg = make_semantic(12, 12, num_edges=40, seed=7)
+        for budget in (1, 3, 16):
+            assert_walk_invariants(sg, budget)
+
+    def test_budget_check_comes_before_each_row(self, make_semantic):
+        # Seed 0 absorbs sources 0-2. At budget 3 that fills the
+        # community, so destination 1 drains without reaching 3 through
+        # source 3, and destination 2 seeds the next community; at
+        # budget 4 destination 1's row still expands.
+        edges = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 3), (4, 2), (5, 2)]
+        sg = make_semantic(6, 4, edges)
+        expected = {3: [0, 1, 2, 3], 4: [0, 1, 3, 2]}
+        for budget, order in expected.items():
+            assert _community_schedule(sg, budget).tolist() == order
+            assert_walk_invariants(sg, budget)
+
+    def test_walk_invariants_above_former_dispatch_threshold(self):
+        # 3000 edges: the size at which a batched walker used to take
+        # over; the one walk handles it the same way.
+        rng = np.random.default_rng(11)
+        num_src = num_dst = 80
+        codes = rng.choice(num_src * num_dst, size=3000, replace=False)
+        edges = [(int(c) // num_dst, int(c) % num_dst) for c in codes]
+        sg = build_semantic(num_src, num_dst, edges)
+        assert sg.num_edges >= 2048
+        for budget in (1, 64, 10_000):
+            assert_walk_invariants(sg, budget)
+
+
 @given(
     num_src=st.integers(2, 20),
     num_dst=st.integers(2, 20),
