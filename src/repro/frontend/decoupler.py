@@ -41,17 +41,31 @@ scalar :meth:`~repro.frontend.hashtable.HashTable.lookup` /
 destination stream. The two paths are bit-identical -- same matching,
 same counters, same report -- which the differential suite in
 ``tests/restructure/test_matching_vec.py`` locks in across the
-scenario catalog.
+scenario catalog. The vectorized matching batches only the greedy
+pass; its augmenting-path search is the scalar loop on plain lists.
+
+During a frontend pass (:meth:`repro.frontend.gdr.GDRFrontend.run_pass`)
+a graph whose oriented search input -- the graph itself, or its
+reverse when it has fewer destinations than sources -- equals one
+already matched reuses that matching (as copies) instead of searching
+again. A relation and its reverse are such twins: the matching is
+orientation-symmetric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.frontend.config import GDRConfig
 from repro.frontend.hashtable import HashTable, count_fifo_conflicts
 from repro.graph.semantic import SemanticGraph
-from repro.restructure.matching import MatchingResult, maximum_matching_fifo
+from repro.restructure.matching import (
+    MatchingResult,
+    _swap_orientation,
+    maximum_matching_fifo,
+)
 from repro.restructure.matching_vec import maximum_matching_vec
 
 __all__ = ["DecouplerReport", "Decoupler"]
@@ -91,6 +105,41 @@ class Decoupler:
     def __init__(self, config: GDRConfig | None = None, *, naive: bool = False) -> None:
         self.config = config or GDRConfig()
         self.naive = naive
+        #: Matchings of the running frontend pass, bucketed by oriented
+        #: shape; ``None`` outside a pass (see :meth:`_match`).
+        self.pass_matchings: dict | None = None
+
+    def _match(self, graph: SemanticGraph) -> MatchingResult:
+        """The FIFO matching of ``graph``, shared with its twin in a pass.
+
+        Two graphs share when the engine would search identical input:
+        equal shape and equal CSR arrays of the oriented graph, compared
+        element by element.
+        """
+        engine = maximum_matching_fifo if self.naive else maximum_matching_vec
+        memo = self.pass_matchings
+        if memo is None:
+            return engine(graph)
+        flipped = graph.num_dst < graph.num_src
+        oriented = graph.reversed() if flipped else graph
+        csr = oriented.csr
+        bucket = memo.setdefault(
+            (oriented.num_src, oriented.num_dst, oriented.num_edges), []
+        )
+        for indptr, indices, known in bucket:
+            if np.array_equal(indptr, csr.indptr) and np.array_equal(
+                indices, csr.indices
+            ):
+                result = MatchingResult(
+                    match_src=known.match_src.copy(),
+                    match_dst=known.match_dst.copy(),
+                    counters=replace(known.counters),
+                )
+                break
+        else:
+            result = engine(oriented)
+            bucket.append((csr.indptr, csr.indices, result))
+        return _swap_orientation(result) if flipped else result
 
     def run(self, graph: SemanticGraph) -> tuple[MatchingResult, DecouplerReport]:
         """Decouple ``graph``; returns the matching and its cost.
@@ -101,10 +150,7 @@ class Decoupler:
         hash-conflict replay over the destination stream.
         """
         cfg = self.config
-        if self.naive:
-            matching = maximum_matching_fifo(graph)
-        else:
-            matching = maximum_matching_vec(graph)
+        matching = self._match(graph)
         counters = matching.counters
 
         # Replay FIFO allocation through the set-associative hash table

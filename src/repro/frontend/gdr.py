@@ -147,8 +147,22 @@ class GDRFrontend:
         that share the pass (every HGNN model) replay without
         regathering. Leaves then drop their CSR and CSC views, which
         only scheduling and the gather read.
+
+        Within the pass each FIFO matching is computed once per
+        transpose pair. The memo keys the graph the engine actually
+        searches (its reverse when it has fewer destinations than
+        sources): ``(num_src, num_dst)`` and the CSR ``indptr`` and
+        ``indices``, compared exactly. A relation and its reverse hit
+        the same entry; the square self-relation pair (``cites`` and
+        its reverse) has distinct CSRs and is matched twice. The twin
+        receives copies of the swapped arrays and counters, so no two
+        results share an array. The memo ends with the pass.
         """
-        computed = [self.restructure(sg) for sg in semantic_graphs]
+        self.decoupler.pass_matchings = {}
+        try:
+            computed = [self.restructure(sg) for sg in semantic_graphs]
+        finally:
+            self.decoupler.pass_matchings = None
         for result, _ in computed:
             leaves = result.leaves()
             result.leaf_replays = [

@@ -44,7 +44,10 @@ def count_fifo_conflicts(keys: np.ndarray, num_sets: int, ways: int) -> int:
     if keys.size == 0:
         return 0
     sets = ((keys * 2654435761) & 0xFFFFFFFF) % num_sets
-    order = np.argsort(sets, kind="stable")
+    # Stable sorts on keys of 16 bits or fewer run as radix sorts.
+    order = np.argsort(
+        sets.astype(np.min_scalar_type(num_sets - 1)), kind="stable"
+    )
     set_sorted = sets[order]
     key_sorted = keys[order]
     keep = np.ones(keys.size, dtype=bool)
@@ -72,11 +75,13 @@ def count_fifo_conflicts(keys: np.ndarray, num_sets: int, ways: int) -> int:
     counts = np.bincount(rows, minlength=num_rows)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     col = np.arange(rows.size, dtype=np.int64) - starts[rows]
-    by_col = np.argsort(col, kind="stable")
+    depth = int(counts.max())
+    by_col = np.argsort(
+        col.astype(np.min_scalar_type(depth - 1)), kind="stable"
+    )
     col_sorted = col[by_col]
     row_by_col = rows[by_col]
     key_by_col = key_sorted[by_col]
-    depth = int(counts.max())
     bounds = np.searchsorted(col_sorted, np.arange(depth + 1))
 
     # Way-major layout: the hit test is `ways` 1-D compares, and an

@@ -5,8 +5,9 @@
 the same ``match_src``/``match_dst`` arrays and bit-identical
 :class:`~repro.restructure.matching.MatchingCounters` (every FIFO
 push/pop, bitmap read/write, hash lookup, edge scan, search step and
-augmenting path) -- while replacing the per-edge Python loops with
-batched numpy passes over the CSR arrays. The scalar formulation stays
+augmenting path). The greedy pass runs as batched numpy passes over
+the CSR arrays; the search keeps the scalar loop and runs it on plain
+lists. The scalar formulation stays
 available as the ``naive=True`` reference of
 :class:`repro.frontend.decoupler.Decoupler` and is differential-tested
 against this engine across the scenario catalog.
@@ -27,24 +28,27 @@ Two phases mirror the scalar algorithm:
     is decided, so ``edges_scanned``/``bitmap_reads`` match the scalar
     pass bit-for-bit.
 
-2.  **FIFO search** (lines 2-26 of Algorithm 1) processes each
-    unmatched root's breadth-first ``Search_List`` in queue snapshots:
-    one batch concatenates the neighbor rows of every queued source,
-    computes visited/fresh masks with a stable first-occurrence pass,
-    and locates the first free destination in stream order. Everything
-    before that cutoff happened exactly as in the scalar loop (pops,
-    pushes, bitmap writes, blocked-holder pushes of fully-drained
-    sources); everything after it never executed. Matching-FIFO
-    occupancy is tracked as a length vector -- only emptiness is
-    observable through ``fifo_pops`` -- and persists across root
-    epochs like the scalar ``matching_fifo`` list.
+2.  **FIFO search** (lines 2-26 of Algorithm 1) is the scalar loop of
+    :func:`~repro.restructure.matching.maximum_matching_fifo`, pop for
+    pop and counter for counter, run over plain Python lists:
+    ``indptr``, both matching sides, the visited stamps, ``parent`` and
+    the per-destination FIFO lengths become lists once per graph, and
+    each adjacency row on its first pop. The searches are many and tiny
+    (a few pops per root), where numpy's per-call overhead costs more
+    than the work. Matching-FIFO occupancy is tracked as a length per
+    destination -- only emptiness is observable through ``fifo_pops``
+    -- and persists across root epochs like the scalar
+    ``matching_fifo`` list. A graph whose greedy pass leaves no root to
+    search, or already reaches the search limit, skips the list
+    conversion.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from repro.graph.csr import gather_rows
 from repro.graph.semantic import SemanticGraph
 from repro.restructure.matching import (
     MatchingCounters,
@@ -54,20 +58,6 @@ from repro.restructure.matching import (
 )
 
 __all__ = ["maximum_matching_vec"]
-
-
-def _first_occurrence(values: np.ndarray) -> np.ndarray:
-    """Mask marking the first stream occurrence of each value."""
-    n = values.shape[0]
-    first = np.zeros(n, dtype=bool)
-    if n == 0:
-        return first
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    head = np.ones(n, dtype=bool)
-    head[1:] = sorted_values[1:] != sorted_values[:-1]
-    first[order[head]] = True
-    return first
 
 
 def _greedy_prematch_vec(
@@ -132,170 +122,120 @@ def _greedy_prematch_vec(
     counters.bitmap_writes += 2 * int(matched.size)
 
 
-#: Queue snapshots at or below this size run the scalar inner loop --
-#: numpy call overhead dominates tiny batches (the typical root batch
-#: and shallow flood levels), while big flood levels vectorize.
-_SMALL_SNAPSHOT = 24
-
-
-def _augment(
-    free_dst: int,
-    parent: np.ndarray,
+def _fifo_search(
+    indptr: np.ndarray,
+    indices: np.ndarray,
     match_src: np.ndarray,
     match_dst: np.ndarray,
-    fifo_len: np.ndarray,
+    roots: list[int],
+    size: int,
+    limit: int,
     counters: MatchingCounters,
-) -> None:
-    """Flip the alternating path ending at ``free_dst`` (lines 13-19)."""
-    counters.augmenting_paths += 1
-    walk = free_dst
-    while walk >= 0:
-        holder = int(parent[walk])
-        next_walk = int(match_src[holder])
-        if next_walk >= 0 and fifo_len[next_walk] > 0:
-            fifo_len[next_walk] -= 1
-            counters.fifo_pops += 1
-        match_src[holder] = walk
-        match_dst[walk] = holder
-        counters.bitmap_writes += 2
-        walk = next_walk
+) -> tuple[int, int]:
+    """Lines 2-26 of Algorithm 1 for every root in ``roots``, in order.
 
+    Updates the matching in place and returns the scalar root loop's
+    bitmap position (one past the last searched root) and the new
+    matching size. The loop stops once ``size`` reaches ``limit``. Each
+    root's epoch bumps ``stamp``: ``visited[v] == stamp`` replaces the
+    scalar code's freshly zeroed visited bitmap, and ``parent`` entries
+    are only read for destinations stamped in the current epoch.
 
-def _search_epoch(
-    root: int,
-    csr,
-    match_src: np.ndarray,
-    match_dst: np.ndarray,
-    fifo_len: np.ndarray,
-    visited_stamp: np.ndarray,
-    stamp: int,
-    parent: np.ndarray,
-    counters: MatchingCounters,
-) -> int:
-    """One root's breadth-first FIFO search; returns matches gained.
-
-    ``visited_stamp``/``parent`` are reused across epochs:
-    ``visited_stamp[v] == stamp`` replaces the scalar code's
-    freshly-zeroed visited bitmap, and ``parent`` entries are only ever
-    read for destinations stamped in the current epoch.
+    A source's adjacency row becomes a list on its first pop: a few
+    hundred searches over a graph of ~100k edges touch a small share
+    of the rows, and converting all of ``indices`` would cost more
+    than the searches. Only flipped entries are written back.
     """
-    indptr, indices = csr.indptr, csr.indices
-    counters.fifo_pushes += 1
-    queue: np.ndarray | list[int] = [root]
-    while len(queue):
-        snapshot = queue
-        if len(snapshot) <= _SMALL_SNAPSHOT:
-            # Scalar inner loop, verbatim semantics of the naive code.
-            scanned = pushes = pops = writes = 0
-            next_queue: list[int] = []
-            for u in (int(x) for x in snapshot):
-                pops += 1
-                blocked: list[int] = []
-                free_dst = -1
-                for pos in range(indptr[u], indptr[u + 1]):
-                    v = int(indices[pos])
-                    scanned += 1
-                    if visited_stamp[v] == stamp:
-                        continue
-                    visited_stamp[v] = stamp
-                    parent[v] = u
-                    writes += 1
-                    fifo_len[v] += 1
+    ptr = indptr.tolist()
+    msrc = match_src.tolist()
+    mdst = match_dst.tolist()
+    rows: list[list[int] | None] = [None] * len(msrc)
+    num_dst = len(mdst)
+    visited = [0] * num_dst
+    parent = [0] * num_dst
+    fifo_len = [0] * num_dst
+    reads = pushes = pops = steps = staged = scanned = paths = 0
+    flipped: list[int] = []
+    position = 0
+    stamp = 0
+    for root in roots:
+        if size >= limit:
+            break
+        reads += root - position + 1
+        position = root + 1
+        stamp += 1
+        search_list = deque([root])
+        pushes += 1
+        free_dst = -1
+        while search_list:
+            u = search_list.popleft()
+            pops += 1
+            steps += 1
+            blocked = []
+            row = rows[u]
+            if row is None:
+                row = rows[u] = indices[ptr[u] : ptr[u + 1]].tolist()
+            for v in row:
+                scanned += 1
+                if visited[v] == stamp:
+                    continue
+                visited[v] = stamp
+                parent[v] = u
+                staged += 1
+                fifo_len[v] += 1
+                pushes += 1
+                if mdst[v] < 0:
+                    free_dst = v
+                    break
+                blocked.append(v)
+            if free_dst >= 0:
+                break
+            for v in blocked:
+                holder = mdst[v]
+                if holder >= 0:
+                    search_list.append(holder)
                     pushes += 1
-                    if match_dst[v] < 0:
-                        free_dst = v
-                        break
-                    blocked.append(v)
-                if free_dst >= 0:
-                    counters.edges_scanned += scanned
-                    counters.bitmap_reads += scanned
-                    counters.bitmap_writes += writes
-                    counters.fifo_pushes += pushes
-                    counters.hash_lookups += writes
-                    counters.fifo_pops += pops
-                    counters.search_steps += pops
-                    _augment(
-                        free_dst, parent, match_src, match_dst, fifo_len, counters
-                    )
-                    return 1
-                for v in blocked:
-                    holder = int(match_dst[v])
-                    if holder >= 0:
-                        next_queue.append(holder)
-                        pushes += 1
-            counters.edges_scanned += scanned
-            counters.bitmap_reads += scanned
-            counters.bitmap_writes += writes
-            counters.fifo_pushes += pushes
-            counters.hash_lookups += writes
-            counters.fifo_pops += pops
-            counters.search_steps += pops
-            queue = next_queue
+        if free_dst < 0:
             continue
-        snapshot = np.asarray(snapshot, dtype=np.int64)
-        lens = indptr[snapshot + 1] - indptr[snapshot]
-        total = int(lens.sum())
-        stream = gather_rows(csr, snapshot)
-        owner = np.repeat(np.arange(snapshot.size, dtype=np.int64), lens)
-        fresh = _first_occurrence(stream)
-        np.logical_and(fresh, visited_stamp[stream] != stamp, out=fresh)
-        hits = np.flatnonzero(fresh & (match_dst[stream] < 0))
-        if hits.size:
-            # Augment at the first free fresh destination: sources
-            # after its owner were never popped, positions after it
-            # never scanned.
-            cut = int(hits[0])
-            popped = int(owner[cut]) + 1
-            counters.fifo_pops += popped
-            counters.search_steps += popped
-            counters.edges_scanned += cut + 1
-            counters.bitmap_reads += cut + 1
-            prefix_fresh = np.flatnonzero(fresh[: cut + 1])
-            dests = stream[prefix_fresh]
-            visited_stamp[dests] = stamp
-            parent[dests] = snapshot[owner[prefix_fresh]]
-            fifo_len[dests] += 1
-            counters.bitmap_writes += int(prefix_fresh.size)
-            counters.fifo_pushes += int(prefix_fresh.size)
-            counters.hash_lookups += int(prefix_fresh.size)
-            # Fully-drained sources pushed their blocked holders before
-            # the augmenting source was popped.
-            counters.fifo_pushes += int(
-                np.count_nonzero(owner[prefix_fresh] < popped - 1)
-            )
-            _augment(
-                int(stream[cut]), parent, match_src, match_dst, fifo_len, counters
-            )
-            return 1
-        # Whole batch drained without augmenting: every snapshot source
-        # was popped, every fresh destination staged, and the sources
-        # holding the blocked destinations queue up next.
-        counters.fifo_pops += int(snapshot.size)
-        counters.search_steps += int(snapshot.size)
-        counters.edges_scanned += total
-        counters.bitmap_reads += total
-        fresh_pos = np.flatnonzero(fresh)
-        dests = stream[fresh_pos]
-        visited_stamp[dests] = stamp
-        parent[dests] = snapshot[owner[fresh_pos]]
-        fifo_len[dests] += 1
-        counters.bitmap_writes += int(fresh_pos.size)
-        counters.fifo_pushes += int(fresh_pos.size)
-        counters.hash_lookups += int(fresh_pos.size)
-        queue = match_dst[dests]
-        counters.fifo_pushes += int(queue.size)
-    return 0
+        # Lines 13-19: flip the alternating path back to the root,
+        # popping the stale claim on each holder's old destination.
+        paths += 1
+        size += 1
+        w = free_dst
+        while w >= 0:
+            holder = parent[w]
+            next_w = msrc[holder]
+            if next_w >= 0 and fifo_len[next_w]:
+                fifo_len[next_w] -= 1
+                pops += 1
+            msrc[holder] = w
+            mdst[w] = holder
+            flipped.append(w)
+            w = next_w
+    if flipped:
+        holders = [mdst[w] for w in flipped]
+        match_dst[flipped] = holders
+        match_src[holders] = [msrc[u] for u in holders]
+    counters.bitmap_reads += reads + scanned
+    counters.bitmap_writes += staged + 2 * len(flipped)
+    counters.hash_lookups += staged
+    counters.fifo_pushes += pushes
+    counters.fifo_pops += pops
+    counters.search_steps += steps
+    counters.edges_scanned += scanned
+    counters.augmenting_paths += paths
+    return position, size
 
 
 def maximum_matching_vec(
     graph: SemanticGraph, *, greedy_init: bool = True
 ) -> MatchingResult:
-    """Algorithm 1 of the paper, batched: FIFO-based decoupling.
+    """Algorithm 1 of the paper, fast: FIFO-based decoupling.
 
     Drop-in replacement for
     :func:`repro.restructure.matching.maximum_matching_fifo` -- same
     matching arrays, same counters, same scan-direction choice -- with
-    the per-edge work done in numpy.
+    the greedy pass batched in numpy and the search run on plain lists.
 
     Args:
         graph: bipartite semantic graph.
@@ -315,36 +255,19 @@ def maximum_matching_vec(
     if greedy_init:
         _greedy_prematch_vec(indptr, indices, match_src, match_dst, counters)
     size = int((match_src >= 0).sum())
-    fifo_len = np.zeros(graph.num_dst, dtype=np.int64)
-    visited_stamp = np.zeros(graph.num_dst, dtype=np.int64)
-    parent = np.full(graph.num_dst, -1, dtype=np.int64)
+    roots = np.flatnonzero(match_src < 0)
 
     # The scalar root loop reads one bitmap entry per iterated root and
     # breaks once the smaller side saturates; matched roots between two
-    # searches are skipped in bulk here (augmenting never matches a
-    # source other than its root, so the unmatched set is static).
+    # searches are skipped in bulk (augmenting never matches a source
+    # other than its root, so the unmatched set is static).
     position = 0
-    stamp = 0
-    hit_limit = False
-    for root in np.flatnonzero(match_src < 0).tolist():
-        if size >= limit:
-            hit_limit = True
-            break
-        counters.bitmap_reads += root - position + 1
-        position = root + 1
-        stamp += 1
-        size += _search_epoch(
-            root,
-            csr,
-            match_src,
-            match_dst,
-            fifo_len,
-            visited_stamp,
-            stamp,
-            parent,
-            counters,
+    if roots.size and size < limit:
+        position, size = _fifo_search(
+            indptr, indices, match_src, match_dst, roots.tolist(), size,
+            limit, counters,
         )
-    if hit_limit or size >= limit:
+    if size >= limit:
         if position < graph.num_src:
             counters.bitmap_reads += 1
     else:

@@ -5,7 +5,9 @@ same memoized restructure, keyed by the frontend's full parameter set.
 These tests pin that sharing never changes a result: shared equals
 fresh, distinct parameters get distinct passes, simulation never
 mutates a shared pass, and the default grid restructures each distinct
-semantic graph exactly once.
+semantic graph exactly once. Within a pass, a relation and its reverse
+share one FIFO matching search; ``TestTwinSharing`` pins that the
+twins still get independent, memo-free-equal results.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ import pytest
 from repro.analysis.sweeps import buffer_sensitivity
 from repro.api import ExperimentSpec, Session
 from repro.api.results import CellResult
+import repro.frontend.decoupler as decoupler_module
 from repro.frontend.config import GDRConfig
 from repro.frontend.gdr import GDRFrontend, GDRHGNNSystem
+from repro.graph.datasets import load_dataset
+from repro.graph.hetero import Relation
+from repro.graph.semantic import SemanticGraph
 from repro.frontend.platform import GDRHGNNPlatform
 from repro.models.base import ModelConfig
 from repro.platforms import (
@@ -48,6 +54,19 @@ def _count_restructures(monkeypatch) -> list:
         return original(self, graph)
 
     monkeypatch.setattr(GDRFrontend, "restructure", counted)
+    return calls
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record the graph of every matching-engine call the Decoupler makes."""
+    calls: list = []
+    original = decoupler_module.maximum_matching_vec
+
+    def counted(graph, **kwargs):
+        calls.append(graph)
+        return original(graph, **kwargs)
+
+    monkeypatch.setattr(decoupler_module, "maximum_matching_vec", counted)
     return calls
 
 
@@ -196,3 +215,101 @@ def test_pass_matches_direct_restructure(tiny_imdb, naive):
             assert np.array_equal(a.src, b.src)
             assert np.array_equal(a.dst, b.dst)
             assert np.array_equal(a_sched, b_sched)
+
+
+def _grid_passes(scale=0.3):
+    """Every default-grid dataset with its semantic graphs and pass."""
+    spec = ExperimentSpec(scale=scale)
+    frontend = GDRHGNNSystem().frontend
+    for name in spec.datasets:
+        artifacts = DatasetArtifacts.build(
+            load_dataset(name, seed=spec.seed, scale=scale)
+        )
+        yield name, artifacts.semantic_graphs, frontend.run_pass(
+            artifacts.semantic_graphs
+        )
+
+
+def _relation_index(graphs, name: str) -> int:
+    return [str(sg.relation) for sg in graphs].index(name)
+
+
+class TestTwinSharing:
+    def test_default_grid_searches_once_per_transpose_pair(self, monkeypatch):
+        searches = _count_searches(monkeypatch)
+        calls = _count_restructures(monkeypatch)
+        spec = ExperimentSpec(scale=0.3)
+        assert len(Session(spec).run()) == spec.grid_size
+        # 20 graphs: 10 transpose pairs, of which the square self-relation
+        # pair (paper-cites and its reverse) has two distinct searches.
+        assert len(calls) == 20
+        assert len(searches) == 11
+
+    def test_pass_equals_memo_free_restructure(self):
+        fresh = GDRFrontend(
+            community_budget=GDRHGNNSystem().frontend.recoupler.community_budget
+        )
+        for name, graphs, frontend_pass in _grid_passes():
+            for sg, (result, report) in zip(graphs, frontend_pass):
+                alone, alone_report = fresh.restructure(sg)
+                assert report == alone_report, (name, sg.relation)
+                a, b = result.matching, alone.matching
+                assert np.array_equal(a.match_src, b.match_src)
+                assert np.array_equal(a.match_dst, b.match_dst)
+                assert a.counters == b.counters
+                assert np.array_equal(
+                    result.partition.src_in_mask, alone.partition.src_in_mask
+                )
+                assert np.array_equal(
+                    result.partition.dst_in_mask, alone.partition.dst_in_mask
+                )
+                for (x, x_sched), (y, y_sched) in zip(
+                    result.leaves(), alone.leaves()
+                ):
+                    assert np.array_equal(x.src, y.src)
+                    assert np.array_equal(x.dst, y.dst)
+                    assert np.array_equal(x_sched, y_sched)
+
+    def test_twins_own_their_arrays(self):
+        name, graphs, frontend_pass = next(_grid_passes())
+        one = frontend_pass[_relation_index(graphs, "author-writes->paper")]
+        two = frontend_pass[_relation_index(graphs, "paper-rev_writes->author")]
+        a, b = one[0].matching, two[0].matching
+        assert np.array_equal(a.match_src, b.match_dst)
+        assert a.counters == b.counters and a.counters is not b.counters
+        before = (b.match_src.copy(), b.match_dst.copy())
+        a.match_src[:] = -7
+        a.match_dst[:] = -7
+        a.counters.fifo_pops += 1
+        assert np.array_equal(b.match_src, before[0])
+        assert np.array_equal(b.match_dst, before[1])
+        assert a.counters != b.counters
+
+    def test_self_relation_pair_is_searched_twice(self, monkeypatch):
+        searches = _count_searches(monkeypatch)
+        graphs = DatasetArtifacts.build(
+            load_dataset("acm", seed=1, scale=0.3)
+        ).semantic_graphs
+        cites = [
+            sg for sg in graphs if sg.relation.src_type == sg.relation.dst_type
+        ]
+        assert [str(sg.relation) for sg in cites] == [
+            "paper-cites->paper",
+            "paper--cites->paper",
+        ]
+        GDRFrontend().run_pass(cites)
+        assert [id(sg) for sg in searches] == [id(sg) for sg in cites]
+
+    def test_key_compares_indices_not_only_degrees(self, monkeypatch):
+        """Equal shape and ``indptr`` but different neighbors: the
+        second graph is searched, and each matches its own edges."""
+        searches = _count_searches(monkeypatch)
+        rel = Relation("a", "r", "b")
+        first = SemanticGraph(rel, 2, 3, np.array([0, 1]), np.array([0, 1]))
+        second = SemanticGraph(rel, 2, 3, np.array([0, 1]), np.array([1, 2]))
+        twin = first.reversed()
+        frontend_pass = GDRFrontend().run_pass([first, second, twin])
+        assert [id(sg) for sg in searches] == [id(first), id(second)]
+        for sg, (result, _) in zip((first, second, twin), frontend_pass):
+            assert result.matching.is_valid_matching(sg)
+            assert result.matching.size == 2

@@ -161,6 +161,17 @@ def scalar_conflicts(keys, num_sets, ways):
     return table.stats.conflicts
 
 
+#: Hash geometries of the conflict differential. 255/256/257/512 sets
+#: straddle the 8-bit/16-bit boundary of the narrowed set sort key.
+GEOMETRIES = (
+    (1, 1), (7, 2), (16, 2), (64, 4), (255, 4), (256, 4), (257, 4), (512, 4)
+)
+
+
+def _set_of(key, num_sets):
+    return (key * 2654435761 & 0xFFFFFFFF) % num_sets
+
+
 class TestConflictReplayDifferential:
     @pytest.mark.parametrize("dataset", ["acm", "dblp"])
     def test_catalog_conflicts_match_scalar_loop(self, dataset):
@@ -177,7 +188,7 @@ class TestConflictReplayDifferential:
     def test_scenario_conflicts_match_scalar_loop(self, ref, seed):
         for sg in build_semantic_graphs(build_scenario(ref, seed=seed)):
             for keys in (sg.dst, sg.na_trace()):
-                for num_sets, ways in ((1, 1), (7, 2), (16, 2), (64, 4)):
+                for num_sets, ways in GEOMETRIES:
                     assert count_fifo_conflicts(
                         keys, num_sets, ways
                     ) == scalar_conflicts(keys, num_sets, ways), (
@@ -185,6 +196,26 @@ class TestConflictReplayDifferential:
                         num_sets,
                         ways,
                     )
+
+    @pytest.mark.parametrize("num_sets, ways", GEOMETRIES)
+    def test_long_substream_matches_scalar_loop(self, num_sets, ways):
+        """Set 0's collapsed substream is longer than 256, so the
+        step-column sort key needs 16 bits."""
+        hot = [k for k in range(100_000) if _set_of(k, num_sets) == 0]
+        rng = np.random.default_rng(num_sets)
+        keys = rng.permutation(
+            np.concatenate(
+                [
+                    np.tile(hot[: ways + 2], 600 // (ways + 2) + 1),
+                    rng.integers(0, 50_000, 4 * num_sets),
+                ]
+            )
+        )
+        in_set = keys[_set_of(keys, num_sets) == 0]
+        assert 1 + np.count_nonzero(in_set[1:] != in_set[:-1]) > 256
+        assert count_fifo_conflicts(keys, num_sets, ways) == scalar_conflicts(
+            keys, num_sets, ways
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
