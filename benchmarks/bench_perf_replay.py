@@ -44,7 +44,11 @@ from repro.memory.replay import TraceArtifact, replay_lru
 
 
 def _force_naive():
-    """Context patch: route every access_many through the legacy loop."""
+    """Context patch: route every access_many through the legacy loop.
+
+    Covers the GPU L2 pass; ``HiHGNNSimulator.run(naive=True)`` chains
+    the same loop over each NA lane segment.
+    """
     orig = FeatureBuffer.access_many
 
     def patched(self, ids, **kw):
@@ -73,7 +77,9 @@ def _end_to_end(graph, *, naive: bool, shared_sgs=None) -> float:
         else:
             sgs_gpu = sgs_acc = shared_sgs
         GPUSimulator(T4).run(graph, "rgcn", semantic_graphs=sgs_gpu)
-        HiHGNNSimulator().run(graph, "rgcn", semantic_graphs=sgs_acc)
+        HiHGNNSimulator().run(
+            graph, "rgcn", semantic_graphs=sgs_acc, naive=naive
+        )
         return time.perf_counter() - t0
     finally:
         if orig is not None:

@@ -8,20 +8,27 @@ Drives the stage engines over all semantic graphs of a dataset:
    assigns them to lanes.
 3. Per graph, FP / NA / SF run back-to-back on the owning lane; the
    lane's NA buffer persists across graphs of the same source type and
-   flushes otherwise.
+   flushes otherwise. Between flushes the buffer is one LRU over the
+   lane's concatenated leaf traces (a *segment*): every segment is
+   planned first and replayed once from stack distances composed from
+   its leaves' replay artifacts (:func:`~repro.memory.replay.compose_distances`),
+   memoized per dataset and shared by every model; the stage loop
+   then charges each leaf's misses to the HBM model in execution
+   order.
 4. Optionally, a :class:`~repro.restructure.GraphRestructurer` is
    applied to every semantic graph before NA (this models the *effect*
    of GDR-HGNN's restructuring; the frontend's own cycle cost and the
    pipelining live in :mod:`repro.frontend`).
 
-Total time is the lane makespan; DRAM traffic, bandwidth utilization
-and NA replacement statistics come from the shared HBM and per-lane
-buffer models.
+Total time is the lane makespan; DRAM traffic and bandwidth
+utilization come from the shared HBM model, and the NA replacement
+statistics from the segments' misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,13 +40,16 @@ from repro.accelerator.stages import (
     NAStageEngine,
     SFStageEngine,
     StageReport,
+    scheduled_na_replay,
 )
 from repro.graph.hetero import HeteroGraph
 from repro.graph.semantic import SemanticGraph, build_semantic_graphs
 from repro.memory.buffer import FeatureBuffer, replacement_histogram_from_counts
 from repro.memory.dram import DRAMStats, HBMModel
+from repro.memory.replay import TraceArtifact, compose_distances
 from repro.models.base import ModelConfig
 from repro.models.workload import get_model
+from repro.restructure.recouple import RestructureResult
 from repro.restructure.restructure import GraphRestructurer
 
 __all__ = ["SimulationReport", "HiHGNNSimulator"]
@@ -114,6 +124,9 @@ class HiHGNNSimulator:
         use_similarity_schedule: bool = True,
         semantic_graphs: list[SemanticGraph] | None = None,
         platform_name: str | None = None,
+        derived: Callable | None = None,
+        restructured_key: tuple | None = None,
+        naive: bool = False,
     ) -> SimulationReport:
         """Simulate one full inference pass.
 
@@ -135,6 +148,17 @@ class HiHGNNSimulator:
                 (disable for ablations).
             semantic_graphs: pre-built SGB output to reuse across runs.
             platform_name: label for reports.
+            derived: the memo of the :class:`DatasetArtifacts
+                <repro.platforms.base.DatasetArtifacts>` that own
+                ``semantic_graphs``; the stack distances of each lane
+                segment are memoized through it, shared by every model.
+                Unused with ``restructurer``.
+            restructured_key: the :attr:`GDRFrontend.key
+                <repro.frontend.gdr.GDRFrontend.key>` that produced
+                ``restructured``; without it ``derived`` is unused.
+            naive: replay each lane segment through the
+                element-at-a-time :class:`FeatureBuffer` loop (the
+                reference) instead of composed stack distances.
 
         Returns:
             A :class:`SimulationReport`.
@@ -157,15 +181,9 @@ class HiHGNNSimulator:
             relations_at_dst[dst] = relations_at_dst.get(dst, 0) + 1
 
         hbm = HBMModel(cfg.hbm)
-        lane_buffers = [
-            FeatureBuffer(cfg.lane_na_src_bytes, fvb, name=f"na-lane{lane}")
-            for lane in range(cfg.num_lanes)
-        ]
         fp_engine = FPStageEngine(cfg, model, hbm)
         sf_engine = SFStageEngine(cfg, model, hbm)
-        na_engines = [
-            NAStageEngine(cfg, model, hbm, buffer) for buffer in lane_buffers
-        ]
+        na_engine = NAStageEngine(cfg, model, hbm)
 
         # Lane assignment from a static work proxy (edges dominate).
         cost_proxy = [
@@ -174,6 +192,30 @@ class HiHGNNSimulator:
             for sg in ordered
         ]
         lane_of, _ = assign_lanes(cost_proxy, cfg.num_lanes)
+
+        # Restructure first, then replay every lane's NA segments (see
+        # _lane_segments) before the stage loop charges their misses.
+        results: list[RestructureResult | None] = [None] * len(ordered)
+        memo = derived
+        if restructured is not None:
+            results = [restructured.get(str(sg.relation)) for sg in ordered]
+            if restructured_key is None:
+                memo = None
+        elif restructurer is not None:
+            # Per-call restructures have no name to memoize under.
+            results = [restructurer.restructure(sg) for sg in ordered]
+            memo = None
+        leaves = [
+            _plan_leaves(sg, result, restructured_key)
+            for sg, result in zip(ordered, results)
+        ]
+        fetched = _replay_segments(
+            _lane_segments(ordered, lane_of, leaves),
+            cfg.lane_na_src_bytes,
+            fvb,
+            memo,
+            naive,
+        )
 
         stage_totals = {
             "ip": StageReport("ip"),
@@ -208,31 +250,23 @@ class HiHGNNSimulator:
 
         for idx, sg in enumerate(ordered):
             lane = lane_of[idx]
-            buffer = lane_buffers[lane]
             previous = lane_prev[lane]
-            if previous is None or previous.relation.src_type != sg.relation.src_type:
-                buffer.flush()
-
             fp_report = fp_engine.run(sg, previous=previous)
 
-            result = None
-            if restructured is not None:
-                result = restructured.get(str(sg.relation))
-            elif restructurer is not None:
-                result = restructurer.restructure(sg)
+            result = results[idx]
             if result is not None:
-                leaves = result.leaves()
-                replays = result.leaf_replays or [None] * len(leaves)
                 restructure_stats["graphs"] += 1
-                restructure_stats["subgraphs"] += len(leaves)
+                restructure_stats["subgraphs"] += len(result.leaves())
                 restructure_stats["backbone_vertices"] += result.backbone_size
                 restructure_stats["matching_size"] += result.matching.size
-            else:
-                leaves, replays = [(sg, None)], [None]
 
             na_report = StageReport("na")
-            for (sub, schedule), replay in zip(leaves, replays):
-                na_report.merge(na_engines[lane].run(sub, schedule, replay))
+            for leaf in leaves[idx]:
+                na_report.merge(
+                    na_engine.charge(
+                        leaf.graph, len(leaf.schedule), leaf.replay.n, leaf.missed
+                    )
+                )
 
             sf_report = sf_engine.run(
                 sg, num_relations_at_dst=relations_at_dst[sg.relation.dst_type]
@@ -267,9 +301,8 @@ class HiHGNNSimulator:
 
         total_cycles = (max(lane_cycles) if lane_cycles else 0) + ip_makespan
 
-        merged_ids, merged_counts = _merge_fetch_arrays(lane_buffers)
-        histogram = replacement_histogram_from_counts(merged_counts)
-        redundant = int(merged_counts.sum() - len(merged_counts))
+        histogram = replacement_histogram_from_counts(fetched)
+        redundant = int(fetched.sum() - len(fetched))
         na_total = stage_totals["na"]
         na_accesses = na_total.buffer_hits + na_total.buffer_misses
         na_hit_ratio = na_total.buffer_hits / na_accesses if na_accesses else 0.0
@@ -302,18 +335,129 @@ class HiHGNNSimulator:
         return report
 
 
-def _merge_fetch_arrays(
-    buffers: list[FeatureBuffer],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-lane ``(ids, counts)`` fetch ledgers into one."""
-    parts = [buf.fetch_arrays() for buf in buffers]
-    ids = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-    counts = (
-        np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
-    )
-    if not len(ids):
-        return ids, counts
-    uniq, inv = np.unique(ids, return_inverse=True)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, inv, counts)
-    return uniq, totals
+@dataclass
+class _Leaf:
+    """One NA invocation: a (sub)graph in schedule order and its misses.
+
+    ``key`` names the leaf within its dataset: relation, the frontend
+    that restructured it (``None`` for a whole semantic graph) and its
+    leaf index.
+    """
+
+    graph: SemanticGraph
+    schedule: np.ndarray
+    replay: TraceArtifact
+    key: tuple
+    missed: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+
+
+def _plan_leaves(
+    sg: SemanticGraph, result: RestructureResult | None, source: tuple | None
+) -> list[_Leaf]:
+    """The NA leaves of ``sg`` (restructured when ``result`` is given).
+
+    Edgeless leaves access nothing and are left out.
+    """
+    relation = str(sg.relation)
+    if result is None:
+        if not sg.num_edges:
+            return []
+        return [_Leaf(sg, sg.active_dst(), sg.na_replay(), (relation, None, 0))]
+    replays = result.leaf_replays or [None] * len(result.leaves())
+    return [
+        _Leaf(
+            sub,
+            schedule,
+            replay if replay is not None else scheduled_na_replay(sub, schedule),
+            (relation, source, i),
+        )
+        for i, ((sub, schedule), replay) in enumerate(zip(result.leaves(), replays))
+        if sub.num_edges
+    ]
+
+
+def _lane_segments(
+    ordered: list[SemanticGraph], lane_of: list[int], leaves: list[list[_Leaf]]
+) -> list[list[_Leaf]]:
+    """Each lane's NA leaves, cut where its buffer is flushed.
+
+    A lane flushes before its first graph and whenever the source type
+    changes, so between flushes its buffer is one LRU over the
+    concatenated leaf traces.
+    """
+    segments: list[list[_Leaf]] = []
+    open_segment: dict[int, list[_Leaf]] = {}
+    src_type: dict[int, str] = {}
+    for idx, sg in enumerate(ordered):
+        lane = lane_of[idx]
+        if src_type.get(lane) != sg.relation.src_type:
+            src_type[lane] = sg.relation.src_type
+            open_segment[lane] = []
+            segments.append(open_segment[lane])
+        open_segment[lane].extend(leaves[idx])
+    return [segment for segment in segments if segment]
+
+
+def _replay_segments(
+    segments: list[list[_Leaf]],
+    capacity_bytes: int,
+    entry_bytes: int,
+    memo: Callable | None,
+    naive: bool,
+) -> np.ndarray:
+    """Replay every lane segment; fills each leaf's ``missed`` ids.
+
+    ``memo`` is :meth:`DatasetArtifacts.derived` or ``None``; ``naive``
+    chains the element-at-a-time :class:`FeatureBuffer` loop over each
+    segment's leaves instead of :func:`_segment_hits`. Returns the DRAM
+    fetch count of every fetched id.
+    """
+    capacity = FeatureBuffer(capacity_bytes, entry_bytes).capacity_entries
+    for segment in segments:
+        if naive:
+            buffer = FeatureBuffer(capacity_bytes, entry_bytes)
+            for leaf in segment:
+                _, leaf.missed = buffer.access_many(
+                    leaf.replay.trace, collect_misses=True, naive=True
+                )
+            continue
+        hit = _segment_hits(segment, capacity, memo)
+        offset = 0
+        for leaf in segment:
+            end = offset + leaf.replay.n
+            leaf.missed = leaf.replay.trace[~hit[offset:end]]
+            offset = end
+    missed = [leaf.missed for segment in segments for leaf in segment]
+    if not missed:
+        return np.empty(0, dtype=np.int64)
+    counts = np.bincount(np.concatenate(missed))
+    return counts[counts > 0]
+
+
+def _segment_hits(
+    segment: list[_Leaf], capacity: int, memo: Callable | None
+) -> np.ndarray:
+    """Hit mask of one segment's concatenated traces, from an empty LRU.
+
+    When the segment's distinct ids fit the capacity, only their first
+    touches miss. Otherwise its composed stack distances decide; with
+    ``memo`` each distinct multi-leaf segment is composed once.
+    """
+    replays = [leaf.replay for leaf in segment]
+    if max(r.num_distinct for r in replays) <= capacity:
+        firsts = np.concatenate([r.trace[r.first_pos] for r in replays])
+        ids, first = np.unique(firsts, return_index=True)
+        if len(ids) <= capacity:
+            starts = np.cumsum([0] + [r.n for r in replays])
+            positions = np.concatenate(
+                [start + r.first_pos for start, r in zip(starts, replays)]
+            )
+            hit = np.ones(starts[-1], dtype=bool)
+            hit[positions[first]] = False
+            return hit
+    if memo is not None and len(segment) > 1:
+        key = ("na-segment", *(leaf.key for leaf in segment))
+        distances = memo(key, lambda _graphs: compose_distances(replays))
+    else:
+        distances = compose_distances(replays)
+    return distances < capacity

@@ -30,6 +30,7 @@ class HiHGNNPlatform(Platform):
             artifacts.graph,
             model_name,
             semantic_graphs=artifacts.semantic_graphs,
+            derived=artifacts.derived,
             **kwargs,
         )
         if "restructurer" in kwargs or "restructured" in kwargs:

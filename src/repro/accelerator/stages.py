@@ -206,9 +206,13 @@ class NAStageEngine:
     """Neighbor aggregation: the thrashing-prone stage.
 
     Walks destinations in schedule order; every in-neighbor's projected
-    feature is read through the lane's :class:`FeatureBuffer`. Misses
-    become DRAM feature fetches (charged to the HBM model with scatter
+    feature is read through the lane's feature buffer. Misses become
+    DRAM feature fetches (charged to the HBM model with scatter
     addressing); hits are free. Compute is charged on the SIMD unit.
+
+    :meth:`run` replays the trace through ``feature_buffer``;
+    :meth:`charge` takes misses already replayed elsewhere (the
+    simulator replays each lane segment at once).
     """
 
     def __init__(
@@ -216,7 +220,7 @@ class NAStageEngine:
         config: HiHGNNConfig,
         model: HGNNModel,
         hbm: HBMModel,
-        feature_buffer: FeatureBuffer,
+        feature_buffer: FeatureBuffer | None = None,
     ) -> None:
         self.config = config
         self.model = model
@@ -237,22 +241,37 @@ class NAStageEngine:
         pass carries one per leaf); it is built here otherwise. The
         default schedule reads the graph's own cached artifact.
         """
-        cfg = self.model.config
-        report = StageReport(name="na")
         if graph.num_edges == 0:
-            return report
+            return StageReport(name="na")
         if schedule is None:
             schedule = graph.active_dst()
             replay = graph.na_replay()
         elif replay is None:
             replay = scheduled_na_replay(graph, schedule)
-
-        fvb = cfg.feature_vector_bytes
-        before_hits = self.buffer.stats.hits
-        misses, missed_ids = self.buffer.access_many(
+        _, missed_ids = self.buffer.access_many(
             replay.trace, collect_misses=True, artifact=replay
         )
-        report.buffer_hits = self.buffer.stats.hits - before_hits
+        return self.charge(graph, len(schedule), replay.n, missed_ids)
+
+    def charge(
+        self,
+        graph: SemanticGraph,
+        num_scheduled: int,
+        accesses: int,
+        missed_ids: np.ndarray,
+    ) -> StageReport:
+        """Cost of aggregating ``num_scheduled`` destinations of ``graph``.
+
+        ``missed_ids`` are the buffer misses among its ``accesses``
+        feature reads, in request order.
+        """
+        cfg = self.model.config
+        report = StageReport(name="na")
+        if graph.num_edges == 0:
+            return report
+        fvb = cfg.feature_vector_bytes
+        misses = len(missed_ids)
+        report.buffer_hits = accesses - misses
         report.buffer_misses = misses
 
         # DRAM: one scatter feature fetch per miss, at the real vertex
@@ -265,7 +284,7 @@ class NAStageEngine:
         # Destination-side reads (attention needs h_dst for scoring);
         # destinations stream sequentially, one touch each.
         if self.model.projects_destinations:
-            dst_bytes = len(schedule) * fvb
+            dst_bytes = num_scheduled * fvb
             report.memory_cycles += self.hbm.access_bulk(
                 graph.dst_global_base * fvb, dst_bytes
             )
@@ -273,7 +292,7 @@ class NAStageEngine:
 
         # Partial results live in the (small) output registers per lane;
         # finished aggregations write back once per destination.
-        out_bytes = len(schedule) * fvb
+        out_bytes = num_scheduled * fvb
         report.memory_cycles += self.hbm.access_bulk(
             graph.dst_global_base * fvb, out_bytes, write=True
         )

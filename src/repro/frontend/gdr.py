@@ -16,6 +16,7 @@ free.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 from repro.accelerator.config import HiHGNNConfig
 from repro.accelerator.hihgnn import HiHGNNSimulator, SimulationReport
@@ -211,6 +212,7 @@ class GDRHGNNSystem:
         *,
         semantic_graphs: list[SemanticGraph] | None = None,
         frontend_pass: FrontendPass | None = None,
+        derived: Callable | None = None,
     ) -> SimulationReport:
         """Simulate the combined system on one dataset and model.
 
@@ -219,6 +221,8 @@ class GDRHGNNSystem:
         so callers may share one across models (as
         :meth:`DatasetArtifacts.frontend_pass` does); it is only read.
         When omitted, :meth:`GDRFrontend.run_pass` computes it here.
+        ``derived`` is the dataset memo the accelerator shares its NA
+        lane segments through (see :meth:`HiHGNNSimulator.run`).
 
         Returns a :class:`SimulationReport` whose ``total_cycles``
         includes exposed frontend latency, whose DRAM statistics merge
@@ -240,6 +244,8 @@ class GDRHGNNSystem:
             graph,
             model_name,
             restructured=restructured,
+            restructured_key=self.frontend.key,
+            derived=derived,
             use_similarity_schedule=False,
             semantic_graphs=ordered,
             platform_name="hihgnn+gdr",

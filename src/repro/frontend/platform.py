@@ -38,6 +38,7 @@ class GDRHGNNPlatform(Platform):
             model_name,
             semantic_graphs=artifacts.semantic_graphs,
             frontend_pass=artifacts.frontend_pass(system.frontend),
+            derived=artifacts.derived,
         )
         return self._labelled(report)
 

@@ -74,7 +74,9 @@ class FeatureBuffer:
         self.capacity_bytes = int(capacity_bytes)
         self.entry_bytes = int(entry_bytes)
         self.name = name
-        self._resident: OrderedDict[int, None] = OrderedDict()
+        # Resident ids, LRU -> MRU: the carried state replay_lru takes
+        # and returns. The scalar paths convert it at their boundary.
+        self._resident = np.empty(0, dtype=np.int64)
         # Fetch accounting is split: scalar accesses update the Counter
         # directly, batched replays append (ids, counts) array chunks;
         # the two are merged lazily at reporting time.
@@ -92,19 +94,8 @@ class FeatureBuffer:
         Returns:
             True on hit, False on miss.
         """
-        resident = self._resident
-        if vertex_id in resident:
-            resident.move_to_end(vertex_id)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        self.stats.bytes_from_dram += self.entry_bytes
-        self._fetch_counts[vertex_id] += 1
-        if len(resident) >= self.capacity_entries:
-            resident.popitem(last=False)
-            self.stats.evictions += 1
-        resident[vertex_id] = None
-        return False
+        trace = np.array([vertex_id], dtype=np.int64)
+        return self._access_many_naive(trace) == 0
 
     def access_many(
         self,
@@ -148,18 +139,14 @@ class FeatureBuffer:
             )
         ):
             artifact = TraceArtifact(vertex_ids)
-        resident = self._resident
-        state = np.fromiter(
-            resident.keys(), dtype=np.int64, count=len(resident)
-        )
-        result = replay_lru(artifact, self.capacity_entries, state)
+        result = replay_lru(artifact, self.capacity_entries, self._resident)
         self.stats.hits += result.hits
         self.stats.misses += result.misses
         self.stats.evictions += result.evictions
         self.stats.bytes_from_dram += result.misses * self.entry_bytes
         if result.misses:
             self._fetch_chunks.append((result.fetch_ids, result.fetch_counts))
-        self._resident = OrderedDict.fromkeys(result.new_state.tolist())
+        self._resident = result.new_state
         if collect_misses:
             return result.misses, artifact.trace[~result.hit_mask]
         return result.misses
@@ -170,7 +157,7 @@ class FeatureBuffer:
         """Seed implementation: plain iteration, one LRU op per element."""
         misses = 0
         missed_ids: list[int] = []
-        resident = self._resident
+        resident = OrderedDict.fromkeys(self._resident.tolist())
         capacity = self.capacity_entries
         fetch_counts = self._fetch_counts
         evictions = 0
@@ -188,6 +175,7 @@ class FeatureBuffer:
                 resident.popitem(last=False)
                 evictions += 1
             resident[vid] = None
+        self._resident = np.fromiter(resident, dtype=np.int64, count=len(resident))
         self.stats.hits += hits
         self.stats.misses += misses
         self.stats.evictions += evictions
@@ -204,7 +192,7 @@ class FeatureBuffer:
 
     def flush(self) -> None:
         """Empty the buffer (between semantic graphs); stats persist."""
-        self._resident.clear()
+        self._resident = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -28,6 +28,14 @@ Splitting the count at ``p`` and using ``prev[j] < j`` gives
 -- a dominance count solved by :func:`count_leq_before` in
 ``O(n log n)`` with a top-down radix partition (a wavelet-tree style
 sweep over position bits) built from a single ``np.sort``.
+
+Distances also compose. A HiHGNN lane's NA buffer is one LRU from flush
+to flush over several leaf traces (a *segment*), and
+:func:`compose_distances` builds the segment's distances from the
+leaves' artifacts and one reduced trace of about half the accesses,
+without re-sorting the segment. Where state must be carried between
+calls instead (the GPU L2, which never flushes), :func:`replay_lru`
+takes the resident ids and ranks the carried ones.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import numpy as np
 __all__ = [
     "count_leq_before",
     "TraceArtifact",
+    "compose_distances",
     "ReplayResult",
     "replay_lru",
 ]
@@ -151,15 +160,18 @@ class TraceArtifact:
 
     - :meth:`DatasetArtifacts.build <repro.platforms.base.DatasetArtifacts.build>`
       builds one per semantic graph (:meth:`SemanticGraph.na_replay`),
-      distances included, before any cell runs. Each GPU's L2 pass and
-      every HiHGNN cell replay it; pool workers adopt it through
-      shared memory (:meth:`from_parts`).
+      distances included, before any cell runs. Each GPU's L2 pass
+      replays it; pool workers adopt it through shared memory
+      (:meth:`from_parts`).
     - :meth:`GDRFrontend.run_pass <repro.frontend.gdr.GDRFrontend.run_pass>`
-      builds one per non-empty restructured leaf, in its schedule
-      order, distances included, once per frontend pass; every
-      model's ``hihgnn+gdr`` cell replays it.
-    - Anything else (the ``restructurer=`` ablation, ad-hoc traces)
-      is built per call by the NA stage or :meth:`FeatureBuffer.access_many`.
+      builds one per restructured leaf, in its schedule order,
+      distances included, once per frontend pass.
+    - HiHGNN cells build none: each NA lane segment's distances are
+      composed from these (:func:`compose_distances`) and memoized per
+      dataset, a one-leaf segment reusing its leaf's own.
+    - Anything else (the ``restructurer=`` ablation's leaves, ad-hoc
+      traces) is built per call by the simulator, the NA stage or
+      :meth:`FeatureBuffer.access_many`.
     """
 
     def __init__(self, trace: np.ndarray) -> None:
@@ -175,16 +187,7 @@ class TraceArtifact:
             self.id_index = np.empty(0, dtype=np.int32)
             self.uniq_sorted = np.empty(0, dtype=np.int64)
             return
-        P = 1 << (n - 1).bit_length() if n > 1 else 1
-        if trace.max(initial=0) > (np.iinfo(np.int64).max >> P.bit_length()):
-            raise ValueError("trace ids too large to pack")
-        sp = np.sort(trace * P + np.arange(n, dtype=np.int64))
-        pos_sorted = sp & (P - 1)
-        val_sorted = sp // P
-        same = val_sorted[1:] == val_sorted[:-1]
-        prev = np.full(n, -1, dtype=np.int32)
-        prev[pos_sorted[1:][same]] = pos_sorted[:-1][same]
-        self.prev = prev
+        pos_sorted, val_sorted, same, self.prev = _links(trace)
         is_first = np.concatenate(([True], ~same))
         is_last = np.concatenate((~same, [True]))
         self.first_pos = np.sort(pos_sorted[is_first])
@@ -237,12 +240,76 @@ class TraceArtifact:
         whole id universe never pay for it.
         """
         if self._distances is None:
-            p1 = self.prev.astype(np.int64) + 1
-            d = count_leq_before(p1) - p1
-            d = d.astype(np.int32)
-            d[self.prev < 0] = _COLD
-            self._distances = d
+            self._distances = _distances(self.prev)
         return self._distances
+
+
+def _links(
+    trace: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Positions sorted by ``(id, position)`` and previous-occurrence links.
+
+    Returns ``(pos_sorted, val_sorted, same, prev)``: ``same[k]`` tells
+    whether sorted slots ``k`` and ``k + 1`` hold the same id.
+    """
+    n = trace.shape[0]
+    P = 1 << (n - 1).bit_length() if n > 1 else 1
+    if trace.max(initial=0) > (np.iinfo(np.int64).max >> P.bit_length()):
+        raise ValueError("trace ids too large to pack")
+    sp = np.sort(trace * P + np.arange(n, dtype=np.int64))
+    pos_sorted = sp & (P - 1)
+    val_sorted = sp // P
+    same = val_sorted[1:] == val_sorted[:-1]
+    prev = np.full(n, -1, dtype=np.int32)
+    prev[pos_sorted[1:][same]] = pos_sorted[:-1][same]
+    return pos_sorted, val_sorted, same, prev
+
+
+def _distances(prev: np.ndarray) -> np.ndarray:
+    """Stack distances from previous-occurrence links (see module doc)."""
+    p1 = prev.astype(np.int64) + 1
+    d = (count_leq_before(p1) - p1).astype(np.int32)
+    d[prev < 0] = _COLD
+    return d
+
+
+def compose_distances(parts: list[TraceArtifact]) -> np.ndarray:
+    """Stack distances of the concatenated traces of ``parts``.
+
+    Equal to ``TraceArtifact(np.concatenate(traces)).distances`` but
+    built from the parts' own artifacts:
+
+    - An access whose previous occurrence lies in its own part keeps
+      the part's distance: its whole window lies inside the part.
+    - A part's first occurrences take their distance from one reduced
+      trace. Per part it holds the distinct ids in first-occurrence
+      order, then in last-occurrence order. The window of a first
+      occurrence in part ``m`` whose id was last seen in part ``j``
+      holds the ids last seen in ``j`` after it, every id of the
+      parts in between, and the ids first seen in ``m`` before it;
+      the reduced trace has exactly those between the two copies.
+
+    The first part's first-occurrence block and the last part's
+    last-occurrence block fall in no such window, so they are left out.
+    """
+    parts = [p for p in parts if p.n]
+    if not parts:
+        return np.empty(0, dtype=np.int32)
+    if len(parts) == 1:
+        return parts[0].distances
+    pieces = [parts[0].trace[parts[0].last_pos]]
+    for p in parts[1:-1]:
+        pieces += [p.trace[p.first_pos], p.trace[p.last_pos]]
+    pieces.append(parts[-1].trace[parts[-1].first_pos])
+    reduced = _distances(_links(np.concatenate(pieces))[3])
+    out = np.concatenate([p.distances for p in parts])
+    offset = parts[0].n
+    r = parts[0].num_distinct
+    for p in parts[1:]:
+        out[offset + p.first_pos] = reduced[r : r + p.num_distinct]
+        offset += p.n
+        r += 2 * p.num_distinct
+    return out
 
 
 @dataclass

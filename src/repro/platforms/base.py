@@ -7,7 +7,7 @@ and simulates one model on those artifacts (:meth:`Platform.simulate`).
 The split matters for the grid runner: ``prepare`` output is
 topology shared read-only by every platform x model cell, plus a
 lock-guarded memo of model-independent passes (GDR frontend passes,
-GPU L2 replays) filled lazily; ``simulate`` owns all other mutable
+GPU L2 replays, HiHGNN NA lane segments) filled lazily; ``simulate`` owns all other mutable
 state and fans out across workers.
 
 Adapters for the four paper platforms live next to the simulators they
@@ -63,8 +63,9 @@ class DatasetArtifacts:
     fills. The one mutable part is the lock-guarded memo behind
     :meth:`derived`: model-independent passes over the semantic graphs
     (the GDR frontend pass with its leaf replay artifacts, each GPU's
-    L2 replay), each computed on first use by the first cell that
-    needs it and only read afterwards. Nothing fills it eagerly, and a
+    L2 replay, the stack distances of each multi-leaf HiHGNN NA lane
+    segment), each computed on first use by the first cell that needs
+    it and only read afterwards. Nothing fills it eagerly, and a
     process-pool worker fills its own.
     """
 

@@ -181,6 +181,7 @@ def maximum_matching(graph: SemanticGraph, *, greedy_init: bool = True) -> Match
             result cardinality, far fewer augmenting searches).
     """
     if graph.num_dst < graph.num_src:
+        graph.csc  # cached here, it becomes the reverse's CSR
         return _swap_orientation(
             maximum_matching(graph.reversed(), greedy_init=greedy_init)
         )
@@ -260,6 +261,7 @@ def maximum_matching_fifo(
             before the search phase (the Decoupler's first pass).
     """
     if graph.num_dst < graph.num_src:
+        graph.csc  # cached here, it becomes the reverse's CSR
         return _swap_orientation(
             maximum_matching_fifo(graph.reversed(), greedy_init=greedy_init)
         )
@@ -316,10 +318,10 @@ def maximum_matching_fifo(
                         holder = int(parent_dst[w])
                         next_w = int(match_src[holder])
                         if next_w >= 0:
-                            # pop the stale claim on holder's old dest
-                            if matching_fifo[next_w]:
-                                matching_fifo[next_w].popleft()
-                                counters.fifo_pops += 1
+                            # Pop the stale claim on holder's old dest
+                            # (staged when holder was pushed this epoch).
+                            matching_fifo[next_w].popleft()
+                            counters.fifo_pops += 1
                         match_src[holder] = w
                         match_dst[w] = holder
                         counters.bitmap_writes += 2

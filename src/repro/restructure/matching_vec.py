@@ -31,16 +31,16 @@ Two phases mirror the scalar algorithm:
 2.  **FIFO search** (lines 2-26 of Algorithm 1) is the scalar loop of
     :func:`~repro.restructure.matching.maximum_matching_fifo`, pop for
     pop and counter for counter, run over plain Python lists:
-    ``indptr``, both matching sides, the visited stamps, ``parent`` and
-    the per-destination FIFO lengths become lists once per graph, and
-    each adjacency row on its first pop. The searches are many and tiny
-    (a few pops per root), where numpy's per-call overhead costs more
-    than the work. Matching-FIFO occupancy is tracked as a length per
-    destination -- only emptiness is observable through ``fifo_pops``
-    -- and persists across root epochs like the scalar
-    ``matching_fifo`` list. A graph whose greedy pass leaves no root to
-    search, or already reaches the search limit, skips the list
-    conversion.
+    ``indptr``, both matching sides, the visited stamps and ``parent``
+    become lists once per graph, and each adjacency row on its first
+    pop. The searches are many and tiny (a few pops per root), where
+    numpy's per-call overhead costs more than the work. Matching-FIFO
+    contents are not kept: a flip pops the claim on a holder's old
+    destination, which was staged when the holder was pushed in the
+    same epoch, so that FIFO is never empty and every flip step with
+    an old destination counts one pop. A graph whose greedy pass leaves
+    no root to search, or already reaches the search limit, skips the
+    list conversion.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ def _fifo_search(
     num_dst = len(mdst)
     visited = [0] * num_dst
     parent = [0] * num_dst
-    fifo_len = [0] * num_dst
     reads = pushes = pops = steps = staged = scanned = paths = 0
     flipped: list[int] = []
     position = 0
@@ -182,7 +181,6 @@ def _fifo_search(
                 visited[v] = stamp
                 parent[v] = u
                 staged += 1
-                fifo_len[v] += 1
                 pushes += 1
                 if mdst[v] < 0:
                     free_dst = v
@@ -198,15 +196,15 @@ def _fifo_search(
         if free_dst < 0:
             continue
         # Lines 13-19: flip the alternating path back to the root,
-        # popping the stale claim on each holder's old destination.
+        # popping the stale claim on each holder's old destination
+        # (staged when the holder was pushed, so always there).
         paths += 1
         size += 1
         w = free_dst
         while w >= 0:
             holder = parent[w]
             next_w = msrc[holder]
-            if next_w >= 0 and fifo_len[next_w]:
-                fifo_len[next_w] -= 1
+            if next_w >= 0:
                 pops += 1
             msrc[holder] = w
             mdst[w] = holder
@@ -243,6 +241,7 @@ def maximum_matching_vec(
             before the search phase (the Decoupler's first pass).
     """
     if graph.num_dst < graph.num_src:
+        graph.csc  # cached here, it becomes the reverse's CSR
         return _swap_orientation(
             maximum_matching_vec(graph.reversed(), greedy_init=greedy_init)
         )

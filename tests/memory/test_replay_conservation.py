@@ -5,7 +5,8 @@ accesses replayed into it: the NA traces of every semantic graph for a
 GPU's L2, and the edges of every scheduled leaf for the accelerator's
 NA buffers. And a fully associative LRU never misses more with more
 capacity, whether it starts empty or carries state from earlier
-accesses (Mattson's inclusion property).
+accesses (Mattson's inclusion property). Stack distances composed
+from the parts of a concatenated trace equal the whole trace's.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.frontend.gdr import GDRHGNNSystem
 from repro.graph.semantic import build_semantic_graphs
-from repro.memory.replay import TraceArtifact, replay_lru
+from repro.memory.replay import TraceArtifact, compose_distances, replay_lru
 from repro.models.base import ModelConfig
 from repro.platforms import PlatformContext, get_platform_class
 from repro.platforms.base import DatasetArtifacts
@@ -89,3 +90,28 @@ def test_lru_misses_never_grow_with_capacity(ref, seed, split):
             carried.append(rest.misses)
         assert from_empty == sorted(from_empty, reverse=True), ref
         assert carried == sorted(carried, reverse=True), ref
+
+
+@st.composite
+def part_lists(draw) -> list[np.ndarray]:
+    """Traces over a shared id universe: single parts, parts that
+    repeat ids of earlier ones, parts without repeats, and parts of
+    ids absent from every earlier part."""
+    universe = draw(st.integers(1, 40))
+    parts = []
+    for k in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(
+            st.integers(0, universe - 1), max_size=30, unique=draw(st.booleans())
+        ))
+        if draw(st.booleans()):
+            ids = [i + 1000 * (k + 1) for i in ids]
+        parts.append(np.array(ids, dtype=np.int64))
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=part_lists())
+def test_composed_distances_equal_the_concatenation(parts):
+    whole = TraceArtifact(np.concatenate(parts)).distances
+    got = compose_distances([TraceArtifact(part) for part in parts])
+    assert np.array_equal(got, whole)
