@@ -47,12 +47,22 @@ def _ensure_builtins() -> None:
         return
     import importlib
 
-    # Import order fixes registry (and hence report-column) order. The
-    # flag is only set once all three imports succeed, so a failure
+    # The flag is only set once all three imports succeed, so a failure
     # surfaces again on the next lookup instead of leaving a silently
     # partial registry.
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
+    # Whoever imported an adapter first, the builtins come first and in
+    # _BUILTIN_MODULES order, which fixes the report-column order; the
+    # sort is stable, so t4 stays ahead of a100 and user platforms
+    # (registered only once the builtins are loaded) keep theirs.
+    rank = {module: i for i, module in enumerate(_BUILTIN_MODULES)}
+    ordered = sorted(
+        _REGISTRY.items(),
+        key=lambda item: rank.get(item[1].__module__, len(rank)),
+    )
+    _REGISTRY.clear()
+    _REGISTRY.update(ordered)
     _builtins_loaded = True
 
 

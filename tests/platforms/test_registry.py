@@ -1,6 +1,8 @@
 """Registry registration, lookup and error behavior."""
 
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,27 @@ class TestBuiltins:
     def test_paper_platforms_registered_in_order(self):
         names = platform_names()
         assert names[:4] == ("t4", "a100", "hihgnn", "hihgnn+gdr")
+
+    @pytest.mark.parametrize(
+        "first",
+        ["repro.frontend.platform", "repro.accelerator.platform"],
+    )
+    def test_builtin_order_independent_of_import_order(self, first):
+        # A fresh interpreter, so no earlier lookup has loaded the
+        # builtins: the adapter imported first registers first.
+        script = (
+            f"import {first}\n"
+            "from repro.platforms import platform_names\n"
+            "print(','.join(platform_names()))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "t4,a100,hihgnn,hihgnn+gdr"
 
     def test_lookup_is_case_insensitive(self):
         assert get_platform_class("T4") is get_platform_class("t4")
