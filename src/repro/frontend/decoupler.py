@@ -121,6 +121,8 @@ class Decoupler:
         if memo is None:
             return engine(graph)
         flipped = graph.num_dst < graph.num_src
+        if flipped:
+            graph.csc  # cached here, it becomes the reverse's CSR
         oriented = graph.reversed() if flipped else graph
         csr = oriented.csr
         bucket = memo.setdefault(

@@ -13,6 +13,7 @@ twins still get independent, memo-free-equal results.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from repro.api.results import CellResult
 import repro.frontend.decoupler as decoupler_module
 from repro.frontend.config import GDRConfig
 from repro.frontend.gdr import GDRFrontend, GDRHGNNSystem
+from repro.graph.csr import CSR
 from repro.graph.datasets import load_dataset
 from repro.graph.hetero import Relation
-from repro.graph.semantic import SemanticGraph
+from repro.graph.semantic import SemanticGraph, build_semantic_graphs
 from repro.frontend.platform import GDRHGNNPlatform
 from repro.models.base import ModelConfig
 from repro.platforms import (
@@ -304,6 +306,26 @@ class TestTwinSharing:
         ]
         GDRFrontend().run_pass(cites)
         assert [id(sg) for sg in searches] == [id(sg) for sg in cites]
+
+    def test_unwarmed_pair_builds_each_adjacency_twice(self, monkeypatch):
+        """A flipped graph's CSC is cached before its reverse is taken,
+        so on graphs ``DatasetArtifacts.build`` has not warmed the
+        reverse's CSR is not built, dropped and built again."""
+        builds: Counter = Counter()
+        original = CSR.from_coo.__func__
+
+        def counted(cls, rows, cols, num_rows, num_cols, **kwargs):
+            builds[num_rows, num_cols, len(rows)] += 1
+            return original(cls, rows, cols, num_rows, num_cols, **kwargs)
+
+        monkeypatch.setattr(CSR, "from_coo", classmethod(counted))
+        graphs = build_semantic_graphs(load_dataset("dblp", seed=1, scale=1.0))
+        assert not builds
+        GDRFrontend().run_pass(graphs)
+        term = graphs[_relation_index(graphs, "term-appears->paper")]
+        term_major = (term.num_src, term.num_dst, term.num_edges)
+        paper_major = (term.num_dst, term.num_src, term.num_edges)
+        assert (builds[term_major], builds[paper_major]) == (2, 2)
 
     def test_key_compares_indices_not_only_degrees(self, monkeypatch):
         """Equal shape and ``indptr`` but different neighbors: the
