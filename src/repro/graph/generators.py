@@ -8,6 +8,12 @@ counts and degree skew. Buffer thrashing -- the phenomenon the paper
 targets -- depends on exactly those statistics (working-set size vs.
 buffer capacity, and degree skew driving feature reuse distance), so the
 substitution preserves the behaviour under study.
+
+Every weighted draw goes through :class:`WeightedSampler`, an exact
+guide-table lookup (Chen & Asau, 1974) that returns the same picks as
+``rng.choice(len(w), size=n, p=w)`` and consumes the same
+``rng.random(n)``, so each generator's output for a given seed is the
+one ``Generator.choice`` would give.
 """
 
 from __future__ import annotations
@@ -17,11 +23,61 @@ import numpy as np
 from repro.graph.csr import sorted_unique
 
 __all__ = [
+    "WeightedSampler",
     "power_law_weights",
     "chung_lu_bipartite",
     "community_bipartite",
     "configuration_bipartite",
 ]
+
+
+class WeightedSampler:
+    """Weighted draws with replacement, pick for pick ``Generator.choice``.
+
+    ``Generator.choice(len(w), size=n, p=w)`` computes
+    ``cdf = w.cumsum(); cdf /= cdf[-1]``, draws ``u = rng.random(n)`` and
+    binary-searches each key: ``cdf.searchsorted(u, side="right")``,
+    the first index whose cdf exceeds ``u``. A guide table (Chen &
+    Asau, 1974) replaces the search. It splits ``[0, 1)`` into ``K``
+    equal buckets and records for each bucket edge ``k / K`` how many
+    cdf entries lie at or below it. A key in bucket ``k`` starts at
+    that count, which never passes its answer, and steps forward while
+    the cdf entry is ``<= u``. ``K`` is a power of two of at least four
+    buckets per weight, so ``cdf * K`` and ``u * K`` are exact, every
+    edge comparison is too, and a key takes about one step. Build one
+    sampler per weight vector and reuse it across redraw rounds.
+    """
+
+    __slots__ = ("cdf", "num_buckets", "guide")
+
+    def __init__(self, weights: np.ndarray) -> None:
+        cdf = np.cumsum(weights, dtype=np.float64)
+        cdf /= cdf[-1]
+        num_buckets = 1 << (4 * len(cdf) - 1).bit_length()
+        self.cdf = cdf
+        self.num_buckets = num_buckets
+        #: ``guide[k]`` = number of cdf entries ``<= k / num_buckets``.
+        self.guide = np.cumsum(
+            np.bincount(
+                np.ceil(cdf * num_buckets).astype(np.intp),
+                minlength=num_buckets + 1,
+            )
+        )
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """``cdf.searchsorted(u, side="right")`` for keys in ``[0, 1)``."""
+        cdf = self.cdf
+        idx = self.guide[(u * self.num_buckets).astype(np.intp)]
+        active = np.flatnonzero(cdf[idx] <= u)
+        while len(active):
+            step = idx[active] + 1
+            idx[active] = step
+            active = active[cdf[step] <= u[active]]
+        return idx
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` indices, as ``rng.choice(len(w), size, p=w)``."""
+        return self.lookup(rng.random(size))
 
 
 def power_law_weights(
@@ -95,8 +151,8 @@ def chung_lu_bipartite(
     if num_edges == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    src_weights = power_law_weights(num_src, src_exponent, rng)
-    dst_weights = power_law_weights(num_dst, dst_exponent, rng)
+    draw_src = WeightedSampler(power_law_weights(num_src, src_exponent, rng))
+    draw_dst = WeightedSampler(power_law_weights(num_dst, dst_exponent, rng))
 
     # Accumulate distinct edges as packed codes src * num_dst + dst.
     codes = np.empty(0, dtype=np.int64)
@@ -107,8 +163,8 @@ def chung_lu_bipartite(
         # Oversample to absorb duplicates; dense graphs need more slack.
         fill = len(codes) / capacity
         batch = int(missing * (2.0 + 8.0 * fill)) + 16
-        s = rng.choice(num_src, size=batch, p=src_weights)
-        d = rng.choice(num_dst, size=batch, p=dst_weights)
+        s = draw_src(rng, batch)
+        d = draw_dst(rng, batch)
         new_codes = s.astype(np.int64) * num_dst + d
         codes = sorted_unique(np.concatenate([codes, new_codes]))
         if len(codes) > num_edges:
@@ -153,9 +209,11 @@ def community_bipartite(
 
     Every catalog dataset is generated here, so the output for a given
     seed is pinned across commits (``tests/graph/test_generator_digests.py``).
-    Optimisations must keep every ``rng`` call in the same order with
-    the same sizes and arguments; only where draws are placed, and how
-    they are deduplicated, may change.
+    Optimisations must keep every ``rng`` draw in the same order with
+    the same sizes: each weighted draw consumes ``rng.random(n)``
+    exactly where ``rng.choice(..., p=...)`` did, through a
+    :class:`WeightedSampler` built once per weight vector. Only where
+    draws are placed, and how they are deduplicated, may change.
 
     Args:
         num_src: source-side vertex count.
@@ -225,16 +283,20 @@ def community_bipartite(
     )
     src_members = [np.flatnonzero(src_block == b) for b in range(num_blocks)]
     dst_members = [np.flatnonzero(dst_block == b) for b in range(num_blocks)]
-    src_member_weights = [
-        power_law_weights(len(m), src_exponent, rng) for m in src_members
+    draw_src_member = [
+        WeightedSampler(power_law_weights(len(m), src_exponent, rng))
+        for m in src_members
     ]
-    dst_member_weights = [
-        power_law_weights(len(m), dst_exponent, rng) for m in dst_members
+    draw_dst_member = [
+        WeightedSampler(power_law_weights(len(m), dst_exponent, rng))
+        for m in dst_members
     ]
     # Larger communities attract proportionally more edges, with a mild
     # skew so community sizes vary as in real datasets.
-    block_weights = power_law_weights(num_blocks, 0.5, rng)
-    dst_global_weights = power_law_weights(num_dst, dst_exponent, rng)
+    draw_block = WeightedSampler(power_law_weights(num_blocks, 0.5, rng))
+    draw_dst_global = WeightedSampler(
+        power_law_weights(num_dst, dst_exponent, rng)
+    )
 
     codes = np.empty(0, dtype=np.int64)
     for _ in range(max_rounds):
@@ -243,7 +305,7 @@ def community_bipartite(
             break
         fill = len(codes) / capacity
         batch = int(missing * (2.0 + 8.0 * fill)) + 16
-        blocks = rng.choice(num_blocks, size=batch, p=block_weights)
+        blocks = draw_block(rng, batch)
         s = np.empty(batch, dtype=np.int64)
         d = np.empty(batch, dtype=np.int64)
         cross = rng.random(batch) < mixing
@@ -257,15 +319,11 @@ def community_bipartite(
         for b, sel in enumerate(np.split(order, bounds)):
             if not len(sel):
                 continue
-            s[sel] = rng.choice(
-                src_members[b], size=len(sel), p=src_member_weights[b]
-            )
-            d[sel] = rng.choice(
-                dst_members[b], size=len(sel), p=dst_member_weights[b]
-            )
+            s[sel] = src_members[b][draw_src_member[b](rng, len(sel))]
+            d[sel] = dst_members[b][draw_dst_member[b](rng, len(sel))]
         n_cross = int(cross.sum())
         if n_cross:
-            d[cross] = rng.choice(num_dst, size=n_cross, p=dst_global_weights)
+            d[cross] = draw_dst_global(rng, n_cross)
         new_codes = s * num_dst + d
         codes = sorted_unique(np.concatenate([codes, new_codes]))
         if len(codes) > num_edges:

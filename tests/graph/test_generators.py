@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graph.generators import (
+    WeightedSampler,
     chung_lu_bipartite,
     community_bipartite,
     configuration_bipartite,
@@ -36,6 +37,93 @@ class TestPowerLawWeights:
             power_law_weights(0, 0.5)
         with pytest.raises(ValueError):
             power_law_weights(5, -1.0)
+
+
+def _skewed_weights(n, exponent, zero_share, seed):
+    """Shuffled power-law weights with a share of them zeroed, summing to 1."""
+    rng = np.random.default_rng(seed)
+    weights = power_law_weights(n, exponent, rng)
+    zeroed = rng.random(n) < zero_share
+    zeroed[rng.integers(n)] = False  # at least one weight stays positive
+    weights[zeroed] = 0.0
+    return weights / weights.sum()
+
+
+weight_cases = dict(
+    n=st.integers(1, 3000),
+    exponent=st.floats(0.0, 3.0),
+    zero_share=st.sampled_from([0.0, 1 / 3, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestWeightedSampler:
+    """The guide-table sampler against its oracle, ``Generator.choice``."""
+
+    @given(size=st.integers(0, 3000), **weight_cases)
+    @example(n=1, exponent=0.0, zero_share=0.0, seed=0, size=40)
+    @example(n=3000, exponent=3.0, zero_share=1 / 3, seed=1, size=3000)
+    @example(n=50, exponent=1.0, zero_share=0.9, seed=2, size=0)
+    @settings(max_examples=150, deadline=None)
+    def test_same_picks_and_stream_as_choice(
+        self, n, exponent, zero_share, seed, size
+    ):
+        weights = _skewed_weights(n, exponent, zero_share, seed)
+        oracle = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(seed + 1)
+        expected = oracle.choice(n, size=size, p=weights)
+        picks = WeightedSampler(weights)(rng, size)
+        assert picks.dtype == expected.dtype
+        assert np.array_equal(picks, expected)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @given(**weight_cases)
+    @example(n=1, exponent=0.0, zero_share=0.0, seed=0)
+    @example(n=3000, exponent=0.0, zero_share=0.0, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_exact_at_every_edge(self, n, exponent, zero_share, seed):
+        """Keys on and beside every cdf entry and bucket edge."""
+        weights = _skewed_weights(n, exponent, zero_share, seed)
+        sampler = WeightedSampler(weights)
+        # Exactness rests on a power-of-two bucket count: the products
+        # ``cdf * K`` and ``u * K`` then never round.
+        num_buckets = sampler.num_buckets
+        assert num_buckets >= 4 * n
+        assert num_buckets & (num_buckets - 1) == 0
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        assert np.array_equal(sampler.cdf, cdf)
+        edges = np.arange(sampler.num_buckets) / sampler.num_buckets
+        keys = np.concatenate(
+            [
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 1.0),
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+            ]
+        )
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        assert np.array_equal(
+            sampler.lookup(keys), cdf.searchsorted(keys, side="right")
+        )
+
+    def test_single_weight(self):
+        rng = np.random.default_rng(3)
+        assert np.array_equal(
+            WeightedSampler(np.ones(1))(rng, 5), np.zeros(5, dtype=np.intp)
+        )
+
+    def test_values_map_like_choice(self):
+        values = np.array([7, 3, 11, 5], dtype=np.int64)
+        weights = np.array([0.1, 0.0, 0.6, 0.3])
+        oracle = np.random.default_rng(8)
+        rng = np.random.default_rng(8)
+        expected = oracle.choice(values, size=500, p=weights)
+        assert np.array_equal(
+            values[WeightedSampler(weights)(rng, 500)], expected
+        )
 
 
 class TestChungLu:
