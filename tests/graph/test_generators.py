@@ -93,7 +93,7 @@ class TestWeightedSampler:
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         assert np.array_equal(sampler.cdf, cdf)
-        edges = np.arange(sampler.num_buckets) / sampler.num_buckets
+        edges = np.arange(num_buckets) / num_buckets
         keys = np.concatenate(
             [
                 cdf,
@@ -107,12 +107,6 @@ class TestWeightedSampler:
         keys = keys[(keys >= 0.0) & (keys < 1.0)]
         assert np.array_equal(
             sampler.lookup(keys), cdf.searchsorted(keys, side="right")
-        )
-
-    def test_single_weight(self):
-        rng = np.random.default_rng(3)
-        assert np.array_equal(
-            WeightedSampler(np.ones(1))(rng, 5), np.zeros(5, dtype=np.intp)
         )
 
     def test_values_map_like_choice(self):
