@@ -326,27 +326,17 @@ class Session:
         dispatcher (which batches cells from *many* client specs that
         share a workspace). It takes an explicit cell list, skips the
         warm peek (the caller already peeked), and yields the grid key
-        next to every result. Artifacts are warmed first and
-        finalization (persist + memo) happens parent-side, so results
-        are bit-identical to a serial :meth:`run` at any ``jobs``.
+        next to every result. Serially each dataset is built by its
+        first cell; the process pool warms the batch's datasets before
+        it fans out. Finalization (persist + memo) happens parent-side,
+        so results are bit-identical to a serial :meth:`run` at any
+        ``jobs``.
         """
         spec = self.spec if spec is None else spec
         workspace = self._workspace(spec)
         if not cells:
             return
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        # Topology artifacts are the state shared across workers: warm
-        # them before the fan-out so parallel runs stay bit-identical
-        # to serial ones (distinct datasets warm concurrently). The
-        # process pool publishes exactly these warmed artifacts to
-        # shared memory.
-        workspace.runner.warm_artifacts(
-            [dataset for _, _, dataset in cells],
-            jobs=jobs,
-            # In collect mode a failed dataset build degrades to typed
-            # per-cell failures instead of aborting the stream.
-            errors=on_error,
-        )
         # run_cells cancels not-yet-started cells when its generator is
         # closed, waiting only for the ones already in flight. A
         # consumer that abandons *this* generator (a disconnecting

@@ -153,10 +153,22 @@ class SemanticGraph:
         The vertex id spaces (and hence global feature addresses) are
         unchanged, which is what the hardware needs: restructured
         subgraphs must still address the same features in DRAM.
+
+        A mask that keeps every edge hands the cached adjacency and
+        active-vertex sets over, as :meth:`reversed` does; the result
+        is still a new object, so dropping its caches leaves ours.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.src.shape:
             raise ValueError("mask must have one entry per edge")
+        caches = {}
+        if mask.all():
+            caches = dict(
+                _csr=self._csr,
+                _csc=self._csc,
+                _active_src=self._active_src,
+                _active_dst=self._active_dst,
+            )
         return SemanticGraph(
             relation=self.relation,
             num_src=self.num_src,
@@ -167,6 +179,7 @@ class SemanticGraph:
             dst_global_base=self.dst_global_base,
             src_feature_dim=self.src_feature_dim,
             dst_feature_dim=self.dst_feature_dim,
+            **caches,
         )
 
     def active_src(self) -> np.ndarray:

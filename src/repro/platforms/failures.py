@@ -50,10 +50,12 @@ PERMANENT_EXCEPTIONS: tuple[type[BaseException], ...] = (
 class ArtifactBuildError(RuntimeError):
     """Building one dataset's graph or topology artifacts failed.
 
-    Raised by :meth:`GridRunner.warm_artifacts` so a pooled build
-    names the offending dataset/scenario ref instead of surfacing an
-    anonymous worker exception. The original exception is chained as
-    ``__cause__`` (and consulted for transience classification).
+    Raised in raise mode by :meth:`GridRunner.warm_artifacts` and by
+    :meth:`GridRunner.run_cell` (whose cell builds its dataset on a
+    serial run), so a failing build names the offending
+    dataset/scenario ref instead of surfacing an anonymous exception.
+    The original exception is chained as ``__cause__`` (and consulted
+    for transience classification).
     """
 
     def __init__(self, dataset: str, cause: BaseException):

@@ -4,23 +4,26 @@ The runner owns the per-(seed, scale, configuration) execution state
 behind :class:`~repro.api.session.Session`:
 
 - dataset graphs and their shared :class:`DatasetArtifacts` (built once
-  per dataset, warmed, then read-only but for the lock-guarded frontend
-  pass memo — the precondition for fanning cells out across workers),
+  per dataset, then read-only but for the lock-guarded frontend pass
+  memo — the precondition for fanning cells out across workers),
 - platform instances resolved through the registry,
 - an in-memory memo of raw simulation reports,
 - a ``concurrent.futures`` process pool for ``jobs > 1``.
 
 The session owns everything above it: the persistent store, the grid
 order and the fan-out defaults, which it passes explicitly to
-:meth:`GridRunner.warm_artifacts` and :meth:`GridRunner.run_cells`.
+:meth:`GridRunner.run_cells`.
 
 ``jobs`` alone picks the fan-out: ``jobs == 1`` (or a single cell)
-runs serially in-process; ``jobs > 1`` is true multicore. The parent
-warms each dataset once, publishes its topology arrays into shared
-memory (:mod:`repro.platforms.shm`), and workers attach them as
-zero-copy read-only views — no artifact is ever rebuilt or pickled per
-cell. Memoization stays in the parent, and so does the session's store
-I/O, so the store's bytes are identical to a serial run.
+runs serially in-process, and each dataset is built by its first cell,
+so the first cell does not wait for the other datasets. ``jobs > 1`` is
+true multicore. The parent warms every dataset of the batch first
+(:meth:`GridRunner.warm_artifacts`), publishes its topology arrays
+into shared memory (:mod:`repro.platforms.shm`), and workers attach
+them as zero-copy read-only views — no artifact is ever rebuilt or
+pickled per cell. Memoization stays in the parent, and so does the
+session's store I/O, so the store's bytes are identical to a serial
+run.
 
 Simulations are deterministic pure functions of the warmed artifacts,
 so parallel runs are bit-identical to serial ones. Fault plans survive
@@ -372,6 +375,10 @@ class GridRunner:
                         attempts=attempt,
                         elapsed_s=time.perf_counter() - started,
                     )
+                if dataset not in self._artifacts:
+                    # Only the build fails before the artifacts exist:
+                    # name the dataset, as warm_artifacts does.
+                    raise ArtifactBuildError(dataset, exc) from exc
                 raise
         with self._lock:
             return self.results.setdefault(key, report)
@@ -394,11 +401,14 @@ class GridRunner:
         process either way, so memo contents (and the session's store
         bytes) are identical to a serial run.
 
-        Callers must have warmed the artifacts of every cell's dataset
-        (:meth:`warm_artifacts`). The pool's workers attach them from
+        Serially, each dataset is built by its first cell. The process
+        branch warms every dataset of the batch first
+        (:meth:`warm_artifacts`) and its workers attach them from
         shared memory; in collect mode, cells whose dataset failed to
         warm cannot be published and run in the parent, where
         :meth:`run_cell` turns the build error into a typed failure.
+        In raise mode a failing build raises
+        :class:`ArtifactBuildError` either way.
 
         Abandoning the iterator early cancels cells not yet started
         and waits only for the ones in flight.
@@ -414,12 +424,11 @@ class GridRunner:
 
         from repro.faults import active_plan
 
-        publishable = [
-            d
-            for d in dict.fromkeys(dataset for _, _, dataset in cells)
-            if d in self._artifacts
-        ]
-        handles = {d: self.publish_dataset(d) for d in publishable}
+        datasets = list(dict.fromkeys(dataset for _, _, dataset in cells))
+        failed = self.warm_artifacts(datasets, jobs=jobs, errors=on_error)
+        handles = {
+            d: self.publish_dataset(d) for d in datasets if d not in failed
+        }
         local = [c for c in cells if c[2] not in handles]
         remote = [c for c in cells if c[2] in handles]
         for cell in local:

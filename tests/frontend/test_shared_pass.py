@@ -327,6 +327,28 @@ class TestTwinSharing:
         paper_major = (term.num_dst, term.num_src, term.num_edges)
         assert (builds[term_major], builds[paper_major]) == (2, 2)
 
+    @pytest.mark.parametrize("scale", [0.1, 0.3])
+    def test_full_backbone_subgraph_reuses_the_adjacency(
+        self, monkeypatch, scale
+    ):
+        """At these scales one backbone subgraph of term/paper keeps
+        every edge; it takes over the term-major adjacency the matching
+        built instead of building it a third time."""
+        builds: Counter = Counter()
+        original = CSR.from_coo.__func__
+
+        def counted(cls, rows, cols, num_rows, num_cols, **kwargs):
+            builds[num_rows, num_cols, len(rows)] += 1
+            return original(cls, rows, cols, num_rows, num_cols, **kwargs)
+
+        monkeypatch.setattr(CSR, "from_coo", classmethod(counted))
+        graphs = build_semantic_graphs(
+            load_dataset("dblp", seed=1, scale=scale)
+        )
+        GDRFrontend().run_pass(graphs)
+        term = graphs[_relation_index(graphs, "term-appears->paper")]
+        assert builds[term.num_src, term.num_dst, term.num_edges] == 2
+
     def test_key_compares_indices_not_only_degrees(self, monkeypatch):
         """Equal shape and ``indptr`` but different neighbors: the
         second graph is searched, and each matches its own edges."""

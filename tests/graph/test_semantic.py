@@ -61,6 +61,20 @@ class TestSemanticGraph:
         with pytest.raises(ValueError, match="one entry per edge"):
             sg.edge_subgraph(np.array([True, False]))
 
+    def test_full_mask_hands_caches_over(self, make_semantic):
+        sg = make_semantic(3, 3, [(0, 1), (0, 2), (2, 0)])
+        sg.csr, sg.csc, sg.active_src(), sg.active_dst()
+        sub = sg.edge_subgraph(np.ones(3, dtype=bool))
+        assert sub is not sg
+        assert sub._csr is sg._csr and sub._csc is sg._csc
+        assert sub._active_src is sg._active_src
+        assert sub._active_dst is sg._active_dst
+        sub._csr = sub._csc = None
+        assert sg._csr is not None and sg._csc is not None
+        partial = sg.edge_subgraph(np.array([True, True, False]))
+        assert partial._csr is None and partial._csc is None
+        assert partial._active_src is None and partial._active_dst is None
+
     def test_reversed_swaps_roles(self, make_semantic):
         sg = make_semantic(3, 2, [(0, 1), (2, 0)])
         rev = sg.reversed()
