@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.frontend.config import GDRConfig
 from repro.graph.semantic import SemanticGraph
 from repro.restructure.backbone import BackbonePartition, select_backbone
@@ -81,7 +83,9 @@ class Recoupler:
         matched_src = matching.matched_src()
         matched_dst = matching.matched_dst()
         src_deg = graph.src_degrees()
-        dst_deg = graph.dst_degrees()
+        # Counted from the edge list: the degrees alone do not justify
+        # building the parent's destination-major adjacency.
+        dst_deg = np.bincount(graph.dst, minlength=graph.num_dst)
         neighbor_reads = int(src_deg[matched_src].sum() + dst_deg[matched_dst].sum())
         search_cycles = -(-neighbor_reads // cfg.recouple_ports)
 

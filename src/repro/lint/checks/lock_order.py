@@ -11,9 +11,9 @@ over the whole project must stay acyclic.
 This checker builds that lock-acquisition-order graph from the
 interprocedural flow summaries: each acquisition site contributes one
 edge per lock held at that site, where "held" includes locks inherited
-from *any* caller path (``_mutate_index`` acquiring the index flock
-while a quarantining caller still holds the shard flock contributes
-shard→index even though no single function shows both). Two findings:
+from *any* caller path (``_count`` acquiring the stats lock while a
+quarantining caller still holds the shard flock contributes
+shard→stats even though no single function shows both). Two findings:
 
 * a **cycle** in the order graph — reported once per strongly
   connected component, at a representative acquisition site inside

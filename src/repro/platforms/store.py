@@ -42,38 +42,20 @@ payload bytes. The store is safe against:
   :attr:`StoreStats.read_errors`); a failed *write* raises to the
   caller, who treats the cache write as best-effort.
 
-The index
----------
-
-``index.json`` at the store root tracks every committed key with its
-schema tag under a monotonic version counter. It is *advisory*
-metadata — entry files stay the source of truth and reads never
-consult it — but it gives ``repro store stats`` and tests an O(1)
-inventory, and it is the store's multi-writer stress point: every
-mutation (save, delete, evict, quarantine, clear) goes through
-read-modify-write **CAS** semantics. A mutator reads a snapshot
-lock-free, applies its change, then revalidates the snapshot version
-under the root ``flock`` before atomically replacing the file
-(version + 1). A concurrent writer that moved the version first
-forces a retry on a fresh snapshot — the mutator is re-applied, so no
-update is ever lost (counted in :attr:`StoreStats.index_retries`).
-Index content is a pure function of the committed entry set, so runs
-that produce the same entries produce byte-identical index files
-regardless of writer interleaving.
-
-:meth:`ArtifactStore.verify` scrubs every entry with the same
-validation the read path uses; ``repro store {stats,verify,gc}``
-exposes it on the command line. Fault-injection hooks
-(:func:`repro.faults.inject` at ``store.load``/``store.save``,
-byte-corruption variants at ``store.load.bytes``/``store.save.bytes``)
-let the chaos suite prove these guarantees under seeded failure
-schedules.
+The entry files are the store's only catalog: ``len()``,
+:meth:`ArtifactStore.disk_stats` and :meth:`ArtifactStore.verify`
+walk the shard directories. :meth:`ArtifactStore.verify` scrubs every
+entry with the same validation the read path uses;
+``repro store {stats,verify,gc}`` exposes it on the command line.
+Fault-injection hooks (:func:`repro.faults.inject` at
+``store.load``/``store.save``, byte-corruption variants at
+``store.load.bytes``/``store.save.bytes``) let the chaos suite prove
+these guarantees under seeded failure schedules.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -110,14 +92,6 @@ STORE_SCHEMA_VERSION = 2
 
 #: Quarantine subdirectory for corrupt entries (kept for post-mortem).
 QUARANTINE_DIR = "quarantine"
-
-#: Index file (store root) and its format marker.
-INDEX_NAME = "index.json"
-_INDEX_MAGIC = "repro-index"
-
-#: CAS retry backstop. Version conflicts resolve in one retry unless
-#: writers keep winning races; a bound this high only trips on a bug.
-_INDEX_MAX_RETRIES = 100
 
 #: Default age after which an orphaned ``*.tmp`` file is collectable:
 #: long enough that no live writer still owns it.
@@ -174,9 +148,6 @@ class StoreStats:
     quarantined: int = 0
     evicted: int = 0
     read_errors: int = 0
-    #: Index CAS rounds lost to a concurrent writer (the mutation was
-    #: re-applied on a fresh snapshot and committed — never dropped).
-    index_retries: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """JSON-friendly counter snapshot."""
@@ -255,133 +226,6 @@ class ArtifactStore:
                 os.close(fd)
 
     # ------------------------------------------------------------------
-    # Index (versioned, CAS read-modify-write)
-    # ------------------------------------------------------------------
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / INDEX_NAME
-
-    @contextmanager
-    def _index_lock(self):
-        """Advisory exclusive lock serializing index commits."""
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            yield
-            return
-        fd = os.open(self.root / ".index.lock", os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    def _read_index(self) -> tuple[int, dict[str, dict]]:
-        """Current ``(version, entries)``; an unreadable or malformed
-        index reads as empty version 0 (advisory data, rebuildable by
-        :meth:`verify`), never as an error."""
-        try:
-            # repro: lint-ok[REP002] advisory data: every read failure
-            # already degrades to an empty index, so a fault site would
-            # only re-prove the except clause below
-            raw = json.loads(self.index_path.read_text())
-        except (OSError, ValueError, UnicodeDecodeError):
-            return 0, {}
-        if (
-            not isinstance(raw, dict)
-            or raw.get("magic") != _INDEX_MAGIC
-            or not isinstance(raw.get("version"), int)
-            or not isinstance(raw.get("entries"), dict)
-        ):
-            return 0, {}
-        return raw["version"], raw["entries"]
-
-    def _write_index(self, version: int, entries: dict[str, dict]) -> None:
-        """Atomically replace the index (caller holds the index lock).
-
-        Keys are written sorted, so the file content is a pure function
-        of ``(version, entry set)`` — independent of mutation order.
-        """
-        document = {
-            "magic": _INDEX_MAGIC,
-            "store_version": STORE_SCHEMA_VERSION,
-            "version": version,
-            "entries": {key: entries[key] for key in sorted(entries)},
-        }
-        # repro: lint-ok[REP002] index crash-safety is proven by the
-        # rebuild path (verify), not by injection: an InjectedFault here
-        # would escape the OSError handling that callers rely on and
-        # turn advisory index damage into save() API changes
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".idx.tmp")
-        try:
-            # repro: lint-ok[REP002] same rationale as the mkstemp above
-            with os.fdopen(fd, "w") as fh:
-                json.dump(document, fh, sort_keys=True, indent=0)
-                fh.flush()
-                if self.fsync:
-                    # repro: lint-ok[REP002] same rationale as above
-                    os.fsync(fh.fileno())
-            # repro: lint-ok[REP002] same rationale as above
-            os.replace(tmp, self.index_path)
-            if self.fsync:
-                self._fsync_dir(self.root)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _mutate_index(self, mutator) -> None:
-        """Commit one index mutation with CAS read-modify-write.
-
-        The snapshot is read lock-free and the mutator applied to a
-        copy; the commit revalidates the snapshot version under the
-        index lock and writes ``version + 1`` atomically. If a
-        concurrent writer advanced the version first, the round is
-        counted in ``index_retries`` and the mutator is re-applied to
-        a fresh snapshot — a lost race never loses the update.
-
-        The index is advisory (entry files are the source of truth),
-        so I/O failure here degrades to a stale index instead of
-        failing the mutation that already committed its file; the next
-        :meth:`verify` reconciles.
-        """
-        try:
-            for _ in range(_INDEX_MAX_RETRIES):
-                version, entries = self._read_index()
-                mutated = {key: dict(meta) for key, meta in entries.items()}
-                mutator(mutated)
-                with self._index_lock():
-                    current_version, _ = self._read_index()
-                    if current_version != version:
-                        self._count(index_retries=1)
-                        continue
-                    self._write_index(version + 1, mutated)
-                    return
-            raise RuntimeError(
-                "index CAS retry budget exhausted"
-            )  # pragma: no cover - requires a livelock bug
-        except OSError:
-            return
-
-    def index(self) -> dict[str, dict]:
-        """Snapshot of the committed-entry index ``{key: metadata}``."""
-        return self._read_index()[1]
-
-    def _index_put(self, key: str, schema: object) -> None:
-        self._mutate_index(
-            lambda entries: entries.__setitem__(
-                key, {"schema": repr(schema)}
-            )
-        )
-
-    def _index_drop(self, key: str) -> None:
-        self._mutate_index(lambda entries: entries.pop(key, None))
-
-    # ------------------------------------------------------------------
     # Envelope parsing (shared by load and verify)
     # ------------------------------------------------------------------
 
@@ -452,7 +296,6 @@ class ArtifactStore:
         except FileNotFoundError:
             return
         self._count(quarantined=1)
-        self._index_drop(path.stem)
 
     def load(self, key: str, *, schema: object = None):
         """The stored payload, or ``None`` on a miss (counted).
@@ -500,7 +343,6 @@ class ArtifactStore:
             else:
                 path.unlink(missing_ok=True)
                 self._count(evicted=1)
-                self._index_drop(key)
         self._count(misses=1)
         return None
 
@@ -548,7 +390,6 @@ class ArtifactStore:
                 pass
             raise
         self._count(puts=1)
-        self._index_put(key, schema)
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
@@ -572,8 +413,6 @@ class ArtifactStore:
         with self._shard_lock(path.parent):
             existed = path.exists()
             path.unlink(missing_ok=True)
-        if existed:
-            self._index_drop(key)
         return existed
 
     # ------------------------------------------------------------------
@@ -588,8 +427,6 @@ class ArtifactStore:
 
     def _tmp_files(self):
         yield from self.root.glob("*/*.tmp")
-        # Index temp debris lives at the root (same crashed-writer shape).
-        yield from self.root.glob("*.idx.tmp")
 
     def __len__(self) -> int:
         """Committed entries only — never counts writer temp files."""
@@ -612,7 +449,6 @@ class ArtifactStore:
             removed += 1
         for tmp in self._tmp_files():
             tmp.unlink(missing_ok=True)
-        self._mutate_index(lambda entries: entries.clear())
         return removed
 
     def gc(
@@ -659,13 +495,8 @@ class ArtifactStore:
         ``repro store verify`` scriptable. Schema *tags* are opaque to
         the scrub (they belong to the writing layer), so entries with
         any tag count as ok when their bytes validate.
-
-        The scrub doubles as the index repair path: the index is
-        rebuilt from the surviving entries, reconciling any drift a
-        crashed or raced writer left behind.
         """
         checked = ok = quarantined = evicted = 0
-        surviving: dict[str, dict] = {}
         for path in sorted(self._entries()):
             checked += 1
             with self._shard_lock(path.parent):
@@ -685,22 +516,13 @@ class ArtifactStore:
                 )
                 if verdict == "ok":
                     ok += 1
-                    schema = pickle.loads(data).get("schema")
-                    surviving[path.stem] = {"schema": repr(schema)}
                 elif verdict == "corrupt":
                     self._quarantine(path)
                     quarantined += 1
                 else:
                     path.unlink(missing_ok=True)
                     self._count(evicted=1)
-                    self._index_drop(path.stem)
                     evicted += 1
-
-        def reconcile(entries: dict[str, dict]) -> None:
-            entries.clear()
-            entries.update(surviving)
-
-        self._mutate_index(reconcile)
         return {
             "checked": checked,
             "ok": ok,
@@ -731,5 +553,4 @@ class ArtifactStore:
             "bytes": total_bytes,
             "tmp_files": sum(1 for _ in self._tmp_files()),
             "quarantined": quarantined,
-            "indexed": len(self.index()),
         }

@@ -162,7 +162,7 @@ class TestStoreStats:
         assert stats["quarantined"] == 0
         assert set(stats) == {
             "hits", "misses", "puts", "quarantined", "evicted",
-            "read_errors", "index_retries",
+            "read_errors",
         }
         warm = Session(spec, store=ArtifactStore(tmp_path))
         warm.run()

@@ -136,6 +136,34 @@ def test_many_process_mixed_stress_ends_verify_clean(tmp_path):
     assert survivor.disk_stats()["tmp_files"] == 0
 
 
+def _distinct_writer(root: str, worker: int, count: int) -> None:
+    store = ArtifactStore(root, fsync=False)
+    for n in range(count):
+        store.save(f"w{worker}-k{n}", {"worker": worker, "n": n})
+
+
+def test_forked_writers_of_distinct_keys_lose_no_entries(tmp_path):
+    """N processes saving distinct keys: every save is committed, loads
+    its own payload and verifies ok."""
+    workers, per_worker = 4, 12
+    ctx = multiprocessing.get_context("fork")
+    _run_to_completion(
+        [
+            ctx.Process(
+                target=_distinct_writer, args=(str(tmp_path), w, per_worker)
+            )
+            for w in range(workers)
+        ],
+        timeout_s=120,
+    )
+    store = ArtifactStore(tmp_path, fsync=False)
+    assert len(store) == workers * per_worker
+    for w in range(workers):
+        for n in range(per_worker):
+            assert store.load(f"w{w}-k{n}") == {"worker": w, "n": n}
+    assert store.verify()["ok"] == workers * per_worker
+
+
 def test_torn_write_simulation_round_trip(tmp_path):
     """A writer killed mid-write (tmp file left, no rename) leaves the
     previous committed entry fully readable — the atomic-replace

@@ -72,6 +72,19 @@ def _count_searches(monkeypatch) -> list:
     return calls
 
 
+def _count_builds(monkeypatch) -> Counter:
+    """Count ``CSR.from_coo`` builds by ``(rows, cols, edges)`` shape."""
+    builds: Counter = Counter()
+    original = CSR.from_coo.__func__
+
+    def counted(cls, rows, cols, num_rows, num_cols, **kwargs):
+        builds[num_rows, num_cols, len(rows)] += 1
+        return original(cls, rows, cols, num_rows, num_cols, **kwargs)
+
+    monkeypatch.setattr(CSR, "from_coo", classmethod(counted))
+    return builds
+
+
 def _frontend_passes(artifacts: DatasetArtifacts) -> list:
     """The memo's frontend passes (it also holds NA lane segments)."""
     return [key for key in artifacts._passes if key[0] == "frontend"]
@@ -307,25 +320,35 @@ class TestTwinSharing:
         GDRFrontend().run_pass(cites)
         assert [id(sg) for sg in searches] == [id(sg) for sg in cites]
 
-    def test_unwarmed_pair_builds_each_adjacency_twice(self, monkeypatch):
+    def test_unwarmed_pair_builds_each_adjacency_at_most_twice(
+        self, monkeypatch
+    ):
         """A flipped graph's CSC is cached before its reverse is taken,
         so on graphs ``DatasetArtifacts.build`` has not warmed the
-        reverse's CSR is not built, dropped and built again."""
-        builds: Counter = Counter()
-        original = CSR.from_coo.__func__
-
-        def counted(cls, rows, cols, num_rows, num_cols, **kwargs):
-            builds[num_rows, num_cols, len(rows)] += 1
-            return original(cls, rows, cols, num_rows, num_cols, **kwargs)
-
-        monkeypatch.setattr(CSR, "from_coo", classmethod(counted))
+        reverse's CSR is not built, dropped and built again; and the
+        Recoupler reads destination degrees without building a CSC."""
+        builds = _count_builds(monkeypatch)
         graphs = build_semantic_graphs(load_dataset("dblp", seed=1, scale=1.0))
         assert not builds
         GDRFrontend().run_pass(graphs)
         term = graphs[_relation_index(graphs, "term-appears->paper")]
         term_major = (term.num_src, term.num_dst, term.num_edges)
         paper_major = (term.num_dst, term.num_src, term.num_edges)
-        assert (builds[term_major], builds[paper_major]) == (2, 2)
+        assert (builds[term_major], builds[paper_major]) == (2, 1)
+
+    @pytest.mark.parametrize("scale", [0.1, 0.3])
+    def test_recoupler_counts_degrees_without_a_csc(self, monkeypatch, scale):
+        """The Recoupler's destination degrees come from the edge list,
+        so term/paper's paper-major adjacency is built only by the
+        reverse relation's backbone search and term/paper's community
+        schedule."""
+        builds = _count_builds(monkeypatch)
+        graphs = build_semantic_graphs(
+            load_dataset("dblp", seed=1, scale=scale)
+        )
+        GDRFrontend().run_pass(graphs)
+        term = graphs[_relation_index(graphs, "term-appears->paper")]
+        assert builds[term.num_dst, term.num_src, term.num_edges] == 2
 
     @pytest.mark.parametrize("scale", [0.1, 0.3])
     def test_full_backbone_subgraph_reuses_the_adjacency(
@@ -334,14 +357,7 @@ class TestTwinSharing:
         """At these scales one backbone subgraph of term/paper keeps
         every edge; it takes over the term-major adjacency the matching
         built instead of building it a third time."""
-        builds: Counter = Counter()
-        original = CSR.from_coo.__func__
-
-        def counted(cls, rows, cols, num_rows, num_cols, **kwargs):
-            builds[num_rows, num_cols, len(rows)] += 1
-            return original(cls, rows, cols, num_rows, num_cols, **kwargs)
-
-        monkeypatch.setattr(CSR, "from_coo", classmethod(counted))
+        builds = _count_builds(monkeypatch)
         graphs = build_semantic_graphs(
             load_dataset("dblp", seed=1, scale=scale)
         )

@@ -274,6 +274,44 @@ class TestVerify:
         assert stats["quarantined"] == 1
 
 
+class TestFootprint:
+    def assert_only_shards(self, store):
+        for child in store.root.iterdir():
+            assert child.is_dir(), child
+            assert child.name == "quarantine" or len(child.name) == 2, child
+
+    def test_mutations_touch_nothing_outside_their_shard(self, tmp_path):
+        """The entry files are the only catalog: no mutation writes a
+        file at the store root."""
+        store = ArtifactStore(tmp_path)
+        keys = [store.key_for("t4", "rgcn", "acm", str(i)) for i in range(3)]
+        for key in keys:
+            store.save(key, {"key": key}, schema="s")
+        self.assert_only_shards(store)
+
+        store._path(keys[0]).write_bytes(b"garbage")
+        assert store.load(keys[0], schema="s") is None
+        assert store.stats.quarantined == 1
+        self.assert_only_shards(store)
+
+        assert store.load(keys[1], schema="other") is None
+        assert store.stats.evicted == 1
+        self.assert_only_shards(store)
+
+        assert store.delete(keys[2])
+        self.assert_only_shards(store)
+
+        store.save(keys[0], {"key": keys[0]}, schema="s")
+        assert store.verify()["ok"] == 1
+        self.assert_only_shards(store)
+
+        assert store.clear() == 1
+        self.assert_only_shards(store)
+        assert set(store.disk_stats()) == {
+            "root", "entries", "bytes", "tmp_files", "quarantined",
+        }
+
+
 class TestDurabilityKnob:
     def test_fsync_disabled_still_round_trips(self, tmp_path):
         store = ArtifactStore(tmp_path, fsync=False)
