@@ -1,7 +1,7 @@
 """Grid scaling: the parallel runner's wall-clock across worker counts.
 
 ``jobs`` alone picks the fan-out: ``jobs=1`` runs serially in-process,
-``jobs>1`` on the process pool over shared-memory artifacts. The pool
+``jobs>1`` on process-pool lanes, one owner process per dataset. The pool
 claims two things: it returns *bit-identical* results to a serial run,
 and it scales when cores are available. This benchmark measures both
 over the full catalog grid (every default platform x model x dataset
@@ -19,7 +19,7 @@ cell, published scale):
 
 The host's CPU count is recorded alongside the numbers: on a single
 core the process pool *cannot* beat serial (there is nothing to
-run in parallel on, and fork + shared-memory attach add overhead), so
+run in parallel on, and forking workers adds overhead), so
 efficiencies below one on a ``"cpus": 1`` record are the honest
 expected outcome, not a regression. The JSON exists so the trajectory
 is tracked wherever the suite runs.

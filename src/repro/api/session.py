@@ -66,8 +66,10 @@ class Session:
             survive the process and later sessions (or concurrent CLI
             invocations) are warm.
         jobs: default worker count for grid fan-out: 1 runs serially
-            in-process, more runs a process pool over shared-memory
-            artifacts. Results are bit-identical either way.
+            in-process, more runs up to that many single-worker
+            process lanes, each owning whole datasets (see
+            :mod:`repro.platforms.runner`). Results are bit-identical
+            either way.
         executor: accepts only ``"process"`` (anything else raises
             ``ValueError``) and changes nothing. It is kept because
             the frozen ``perfbench`` suite still passes it; drop it
@@ -94,9 +96,9 @@ class Session:
         self._workspaces_lock = threading.Lock()
 
     def close(self) -> None:
-        """Release per-workspace resources (shared-memory segments).
+        """Release per-workspace resources (process-pool lanes).
 
-        Safe to skip: every runner also unlinks its segments when
+        Safe to skip: every runner also shuts its lanes down when
         garbage collected and at interpreter exit.
         """
         with self._workspaces_lock:
@@ -326,11 +328,12 @@ class Session:
         dispatcher (which batches cells from *many* client specs that
         share a workspace). It takes an explicit cell list, skips the
         warm peek (the caller already peeked), and yields the grid key
-        next to every result. Serially each dataset is built by its
-        first cell; the process pool warms the batch's datasets before
-        it fans out. Finalization (persist + memo) happens parent-side,
-        so results are bit-identical to a serial :meth:`run` at any
-        ``jobs``.
+        next to every result. Each dataset is built by its first cell:
+        serially in this process, or with ``jobs > 1`` in the one pool
+        worker (lane) that owns it, which keeps it across calls, so a
+        later batch never rebuilds it. Finalization (persist + memo)
+        happens parent-side, so results are bit-identical to a serial
+        :meth:`run` at any ``jobs``.
         """
         spec = self.spec if spec is None else spec
         workspace = self._workspace(spec)
@@ -344,8 +347,8 @@ class Session:
         # — the explicit close() in the finally block propagates the
         # abandonment inward *synchronously*, so pool shutdown happens
         # here and now rather than whenever the inner generator is
-        # garbage collected (pending futures, worker processes and shm
-        # segments would otherwise outlive the consumer). run_iter
+        # garbage collected (pending futures and worker processes
+        # would otherwise outlive the consumer). run_iter
         # closes this generator the same way.
         inner = workspace.runner.run_cells(
             cells, jobs=jobs, retry=retry, on_error=on_error

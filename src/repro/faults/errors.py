@@ -34,6 +34,14 @@ class InjectedFault(RuntimeError):
                 message += f" (key={key!r})"
         super().__init__(message)
 
+    def __reduce__(
+        self,
+    ) -> tuple[type["InjectedFault"], tuple[str, object, str]]:
+        # Rebuild from the constructor's own arguments: the default
+        # (type, args) reduction would pass the formatted message as
+        # ``site`` and wrap it a second time in the pool's parent.
+        return (type(self), (self.site, self.key, str(self)))
+
 
 class InjectedIOError(InjectedFault, OSError):
     """An injected I/O failure (store read/write, artifact spill).

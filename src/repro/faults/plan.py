@@ -3,11 +3,12 @@
 A :class:`FaultPlan` is a process-wide schedule of failures: a list of
 :class:`FaultRule` entries, each naming an injection *site* (a string
 like ``"store.load"``), an action (raise an error, sleep, corrupt
-bytes), a firing rate and an optional firing budget. Library code
-consults the plan through two cheap hooks:
+bytes, end a pool worker), a firing rate and an optional firing
+budget. Library code consults the plan through two cheap hooks:
 
-- :func:`inject` — may raise :class:`~repro.faults.errors.InjectedFault`
-  or sleep; a no-op when no plan is armed (one global ``None`` check).
+- :func:`inject` — may raise :class:`~repro.faults.errors.InjectedFault`,
+  sleep or end a pool worker; a no-op when no plan is armed (one
+  global ``None`` check).
 - :func:`inject_bytes` — may return a deterministically corrupted copy
   of a byte payload (for write/read corruption sites).
 
@@ -46,6 +47,8 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -63,7 +66,10 @@ __all__ = [
     "active_plan",
 ]
 
-_ACTIONS = ("error", "io-error", "latency", "corrupt")
+_ACTIONS = ("error", "io-error", "latency", "corrupt", "exit")
+
+#: Exit status of a worker ended by an ``"exit"`` rule.
+EXIT_STATUS = 70
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,11 @@ class FaultRule:
             ``"io-error"`` raises :class:`InjectedIOError`,
             ``"latency"`` sleeps ``latency_s``, ``"corrupt"`` mutates
             bytes at ``inject_bytes`` sites (ignored elsewhere).
+            ``"exit"`` ends a process-pool worker (any process
+            :mod:`multiprocessing` started) on the spot with
+            ``os._exit`` (no cleanup, no exception — a real worker
+            death); in the main process, which must never die of a
+            fault plan, it raises :class:`InjectedFault` instead.
         rate: per-call firing probability in ``[0, 1]`` (drawn
             deterministically from the plan seed).
         times: total firing budget of this rule (``None`` = unlimited).
@@ -201,9 +212,9 @@ class FaultPlan:
     # -- the two hook entry points -------------------------------------
 
     def perform(self, site: str, key: object) -> None:
-        """Apply the first matching error/latency rule (if any fires)."""
+        """Apply the first matching error/latency/exit rule, if any fires."""
         rule = self._select(
-            site, key, actions=("error", "io-error", "latency")
+            site, key, actions=("error", "io-error", "latency", "exit")
         )
         if rule is None:
             return
@@ -212,6 +223,8 @@ class FaultPlan:
             return
         if rule.action == "io-error":
             raise InjectedIOError(site, key)
+        if rule.action == "exit" and multiprocessing.parent_process():
+            os._exit(EXIT_STATUS)
         raise InjectedFault(site, key)
 
     def perform_bytes(self, site: str, data: bytes, key: object) -> bytes:
@@ -285,8 +298,9 @@ def disarm(plan: FaultPlan | None = None) -> None:
 def inject(site: str, *, key: object = None) -> None:
     """Fault-injection hook: free when no plan is armed.
 
-    May raise :class:`InjectedFault`/:class:`InjectedIOError` or sleep,
-    according to the armed plan's matching rules.
+    May raise :class:`InjectedFault`/:class:`InjectedIOError`, sleep or
+    (``"exit"``, in a pool worker only) end the process, according to
+    the armed plan's matching rules.
     """
     plan = _active
     if plan is None:

@@ -51,19 +51,27 @@ class ArtifactBuildError(RuntimeError):
     """Building one dataset's graph or topology artifacts failed.
 
     Raised in raise mode by :meth:`GridRunner.warm_artifacts` and by
-    :meth:`GridRunner.run_cell` (whose cell builds its dataset on a
-    serial run), so a failing build names the offending
-    dataset/scenario ref instead of surfacing an anonymous exception.
-    The original exception is chained as ``__cause__`` (and consulted
-    for transience classification).
+    :meth:`GridRunner.run_cell` (whose cell builds its dataset, in the
+    caller's process or in the process-pool worker that owns the
+    dataset), so a failing build names the offending dataset/scenario
+    ref instead of surfacing an anonymous exception. The original
+    exception is kept as ``cause`` (and chained as ``__cause__``); it
+    decides transience, and it survives the pickle hop back from a
+    worker, where ``__cause__`` does not.
     """
 
     def __init__(self, dataset: str, cause: BaseException):
         self.dataset = dataset
+        self.cause = cause
         super().__init__(
             f"building artifacts for dataset {dataset!r} failed: "
             f"{type(cause).__name__}: {cause}"
         )
+
+    def __reduce__(
+        self,
+    ) -> tuple[type["ArtifactBuildError"], tuple[str, BaseException]]:
+        return (type(self), (self.dataset, self.cause))
 
 
 @dataclass(frozen=True)
@@ -187,8 +195,8 @@ class RetryPolicy:
         wrapped :class:`ArtifactBuildError` is classified by its
         cause.
         """
-        if isinstance(exc, ArtifactBuildError) and exc.__cause__ is not None:
-            return RetryPolicy.is_transient(exc.__cause__)
+        if isinstance(exc, ArtifactBuildError):
+            return RetryPolicy.is_transient(exc.cause)
         if isinstance(exc, PERMANENT_EXCEPTIONS):
             return False
         return isinstance(exc, TRANSIENT_EXCEPTIONS)

@@ -5,32 +5,35 @@ behind :class:`~repro.api.session.Session`:
 
 - dataset graphs and their shared :class:`DatasetArtifacts` (built once
   per dataset, then read-only but for the lock-guarded frontend pass
-  memo — the precondition for fanning cells out across workers),
+  memo),
 - platform instances resolved through the registry,
 - an in-memory memo of raw simulation reports,
-- a ``concurrent.futures`` process pool for ``jobs > 1``.
+- for ``jobs > 1``, its process-pool *lanes* and the datasets they own.
 
 The session owns everything above it: the persistent store, the grid
 order and the fan-out defaults, which it passes explicitly to
 :meth:`GridRunner.run_cells`.
 
-``jobs`` alone picks the fan-out: ``jobs == 1`` (or a single cell)
-runs serially in-process, and each dataset is built by its first cell,
-so the first cell does not wait for the other datasets. ``jobs > 1`` is
-true multicore. The parent warms every dataset of the batch first
-(:meth:`GridRunner.warm_artifacts`), publishes its topology arrays
-into shared memory (:mod:`repro.platforms.shm`), and workers attach
-them as zero-copy read-only views — no artifact is ever rebuilt or
-pickled per cell. Memoization stays in the parent, and so does the
-session's store I/O, so the store's bytes are identical to a serial
-run.
+``jobs`` alone picks the fan-out: ``jobs == 1`` runs serially
+in-process, and each dataset is built by its first cell, so the first
+cell does not wait for the other datasets. ``jobs > 1`` is true
+multicore, on up to ``jobs`` lanes — single-worker process pools that
+each own whole datasets. A dataset's cells all go to one lane, whose
+worker builds it at its first cell through the same serial path and
+keeps it, with its frontend, GPU-L2 and NA-segment passes, for later
+cells and later calls; each cell streams back as it completes. The
+parent never builds a dataset for the pool, nothing is published or
+pickled per dataset, and per-cell traffic is the cell key and its
+report. Memoization stays in the parent, and so does the session's
+store I/O, so the store's bytes are identical to a serial run.
 
-Simulations are deterministic pure functions of the warmed artifacts,
-so parallel runs are bit-identical to serial ones. Fault plans survive
-the process hop: workers re-arm a fresh :class:`~repro.faults.FaultPlan`
-from the parent's ``(rules, seed)``, and firing is a pure function of
-``(seed, rule, site, key, n)`` — the schedule hits the same cells it
-would in-process.
+Simulations are deterministic pure functions of the dataset, so
+parallel runs are bit-identical to serial ones. Fault plans survive
+the process hop: every call re-arms each lane's worker with a fresh
+:class:`~repro.faults.FaultPlan` from the caller's ``(rules, seed)``,
+and firing is a pure function of ``(seed, rule, site, key, n)`` — a
+dataset's cells run in batch order on one worker, so the schedule hits
+the same cells it would in-process.
 
 Failure semantics
 -----------------
@@ -43,7 +46,9 @@ captures the terminal exception as a typed
 :class:`~repro.platforms.failures.CellFailure` instead of raising.
 :meth:`GridRunner.run_cells` applies the choice to every cell:
 ``"raise"`` (default) fails fast, ``"collect"`` yields failures as
-values next to the surviving reports.
+values next to the surviving reports. A pool worker's death is a cell
+failure too: the lane respawns, reruns its unfinished cells one at a
+time, and the cell that kills the worker a second time fails alone.
 """
 
 from __future__ import annotations
@@ -52,12 +57,15 @@ import os
 import threading
 import time
 import weakref
+from collections import Counter, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.faults import inject
 from repro.graph.hetero import HeteroGraph
@@ -99,46 +107,89 @@ def _mp_context():
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker protocol
+# Process-pool lanes
 # ----------------------------------------------------------------------
 #
-# The initializer receives everything a worker needs exactly once per
-# worker: the platform context, (seed, scale), the shared-memory
-# handles of every published dataset, and the parent's fault schedule
-# as picklable ``(rules, seed)`` (a FaultPlan holds a lock and cannot
-# travel; firing is a pure function of the pair, so a re-armed copy
-# hits the same cells). Workers keep a GridRunner in module state;
-# per-cell traffic is just the (tiny) cell key and its report.
+# A lane's worker keeps a GridRunner in module state, built by the
+# initializer from the platform context and (seed, scale). Every
+# run_cells call re-arms the caller's fault schedule in it as picklable
+# ``(rules, seed)``: a FaultPlan holds a lock and cannot travel, and
+# firing is a pure function of the pair, so a re-armed copy hits the
+# same cells. Per-cell traffic is just the cell key and its outcome.
 
 _WORKER_RUNNER: "GridRunner | None" = None
 
 
-def _worker_init(context, seed, scale, handles, fault_rules, fault_seed):
+def _worker_init(context, seed, scale):
     global _WORKER_RUNNER
-    from repro.faults import arm, disarm
-    from repro.faults.plan import FaultPlan
-    from repro.platforms.shm import attach_artifacts
+    from repro.faults import disarm
 
     # Under fork the child inherits the parent's armed plan object;
-    # disarm it first so the re-armed copy owns all counters.
+    # drop it so only the re-armed copy fires.
+    disarm()
+    _WORKER_RUNNER = GridRunner(context, seed=seed, scale=scale)
+
+
+def _worker_arm(fault_rules, fault_seed):
+    from repro.faults import arm, disarm
+    from repro.faults.plan import FaultPlan
+
     disarm()
     if fault_rules is not None:
         arm(FaultPlan(rules=fault_rules, seed=fault_seed))
-    runner = GridRunner(context, seed=seed, scale=scale)
-    for dataset, handle in handles.items():
-        runner._artifacts[dataset] = attach_artifacts(handle)
-    _WORKER_RUNNER = runner
 
 
 def _worker_run_cell(cell, retry, on_error):
-    return cell, _WORKER_RUNNER.run_cell(*cell, retry=retry, on_error=on_error)
+    return _WORKER_RUNNER.run_cell(*cell, retry=retry, on_error=on_error)
 
 
-def _close_segments(segments: dict) -> None:
-    """Unlink every published segment (runner GC / interpreter exit)."""
-    for segment in segments.values():
-        segment.close()
-    segments.clear()
+class _Lane:
+    """A single-worker process pool and the datasets its worker owns.
+
+    Tasks run in submission order on the one worker, so an arm task
+    submitted before a call's cells takes effect before any of them.
+    """
+
+    def __init__(self, initargs: tuple, fault: tuple) -> None:
+        self.initargs = initargs
+        self.datasets: set[str] = set()
+        self.spawn(fault)
+
+    def spawn(self, fault: tuple) -> None:
+        """Start a fresh worker (it rebuilds owned datasets on demand)."""
+        self.pool = ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=_mp_context(),
+            initializer=_worker_init,
+            initargs=self.initargs,
+        )
+        self.arm(fault)
+
+    def arm(self, fault: tuple) -> None:
+        self._submit(_worker_arm, *fault)
+
+    def submit(self, cell: GridKey, retry, on_error: str) -> Future:
+        return self._submit(_worker_run_cell, cell, retry, on_error)
+
+    def _submit(self, fn, *args) -> Future:
+        # A worker that died between tasks breaks the pool at submit
+        # time; report it through the future, like a death mid-task.
+        try:
+            return self.pool.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _close_lanes(lanes: list[_Lane]) -> None:
+    """Shut down every lane (runner close, GC or interpreter exit)."""
+    for lane in lanes:
+        lane.close()
+    lanes.clear()
 
 
 class GridRunner:
@@ -169,24 +220,27 @@ class GridRunner:
         # Per-dataset build locks: concurrent callers that need the same
         # (not yet warmed) dataset build it once, not racily twice.
         self._build_locks: dict[str, threading.Lock] = {}
-        # Published shared-memory segments (process pool), one per
-        # dataset, reused across run_cells calls. The finalizer unlinks
-        # them when the runner dies — including interpreter exit and
-        # KeyboardInterrupt (weakref.finalize registers with atexit).
-        self._segments: dict[str, object] = {}
-        self._handles: dict[str, object] = {}
-        self._segments_finalizer = weakref.finalize(
-            self, _close_segments, self._segments
+        # Process-pool lanes, kept across run_cells calls with the
+        # datasets their workers built. One call at a time uses them
+        # (a concurrent call runs on private lanes). The finalizer
+        # shuts them down when the runner dies — including interpreter
+        # exit and KeyboardInterrupt (weakref.finalize registers with
+        # atexit).
+        self._lanes: list[_Lane] = []
+        self._lanes_jobs = 0
+        self._lanes_lock = threading.Lock()
+        self._lanes_finalizer = weakref.finalize(
+            self, _close_lanes, self._lanes
         )
 
     def close(self) -> None:
-        """Release published shared-memory segments (idempotent).
+        """Shut down the process-pool lanes (idempotent).
 
-        The exit-time finalizer stays armed, so a runner that publishes
-        again after ``close()`` is still leak-safe.
+        The exit-time finalizer stays armed, so a runner that fans out
+        again after ``close()`` starts new lanes and is still
+        leak-safe.
         """
-        self._handles.clear()
-        _close_segments(self._segments)
+        _close_lanes(self._lanes)
 
     # ------------------------------------------------------------------
     # Shared state (graphs, artifacts, platforms)
@@ -253,10 +307,10 @@ class GridRunner:
         """Build the topology artifacts of every named dataset.
 
         Distinct datasets are independent, so with ``jobs > 1`` they
-        warm concurrently on a pool (numpy releases the GIL in the
-        sort-heavy trace work). Warming before a grid fan-out is what
-        keeps parallel runs bit-identical to serial ones: once built,
-        artifacts are read-only shared state.
+        warm concurrently on a thread pool (numpy releases the GIL in
+        the sort-heavy trace work). No grid path calls it (cells build
+        their own dataset); it stays for direct callers and for
+        ``perfbench/spans.py``, which patches it by name.
 
         A failing build always names its dataset: with
         ``errors="raise"`` (default) the first failure — in dataset
@@ -294,29 +348,6 @@ class GridRunner:
                 dataset
             ]
         return failures
-
-    def publish_dataset(self, dataset: str):
-        """Shared-memory handle of one warmed dataset (published once).
-
-        The segment is owned by this runner and reused across fan-outs;
-        :meth:`close` (or runner GC / interpreter exit) unlinks it.
-        """
-        handle = self._handles.get(dataset)
-        if handle is not None:
-            return handle
-        from repro.platforms.shm import publish_artifacts
-        from repro.scenarios import workload_digest
-
-        artifacts = self.artifacts(dataset)
-        with self._build_lock(dataset):
-            if dataset not in self._handles:
-                segment, handle = publish_artifacts(
-                    artifacts,
-                    digest=workload_digest(dataset, self.seed, self.scale),
-                )
-                self._segments[dataset] = segment
-                self._handles[dataset] = handle
-        return self._handles[dataset]
 
     # ------------------------------------------------------------------
     # Execution
@@ -394,80 +425,150 @@ class GridRunner:
         """Yield ``(cell, outcome)`` for every cell, in completion order.
 
         The one fan-out primitive behind ``Session.compute_cells``:
-        serial (``jobs <= 1`` or a single cell) and process-pool
-        execution share its contract — every cell yields exactly once
-        with a report or (``on_error="collect"``) a
-        :class:`CellFailure`; reports are memoized in the parent
-        process either way, so memo contents (and the session's store
-        bytes) are identical to a serial run.
+        serial (``jobs <= 1``) and process-pool execution share its
+        contract — every cell yields exactly once with a report or
+        (``on_error="collect"``) a :class:`CellFailure`; reports are
+        memoized in the parent process either way, so memo contents
+        (and the session's store bytes) are identical to a serial run.
 
-        Serially, each dataset is built by its first cell. The process
-        branch warms every dataset of the batch first
-        (:meth:`warm_artifacts`) and its workers attach them from
-        shared memory; in collect mode, cells whose dataset failed to
-        warm cannot be published and run in the parent, where
-        :meth:`run_cell` turns the build error into a typed failure.
-        In raise mode a failing build raises
-        :class:`ArtifactBuildError` either way.
+        Serially, each dataset is built by its first cell. With
+        ``jobs > 1`` the cells run on up to ``jobs`` single-worker
+        lanes: each dataset of the batch goes whole to the lane that
+        owns it from an earlier call, else to the first idle lane (a
+        new one while fewer than ``jobs`` run), in batch order. The
+        lane's worker builds the dataset at its first cell, exactly as
+        a serial run does, and every cell streams back as it
+        completes; the parent builds nothing. Lanes keep their
+        datasets until :meth:`close`, a call with another ``jobs``, or
+        an abandoned or failed call.
 
-        Abandoning the iterator early cancels cells not yet started
-        and waits only for the ones in flight.
+        A worker that dies (``BrokenProcessPool``) is respawned and the
+        lane's unfinished cells rerun one at a time; a cell that kills
+        the worker again is the culprit, and becomes a failure with
+        ``attempts=2`` (collect) or re-raises (raise).
+
+        Abandoning the iterator early cancels cells not yet started,
+        waits only for the ones in flight and shuts the lanes down.
         """
         if on_error not in _ON_ERROR:
             raise ValueError(
                 f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
             )
-        if jobs <= 1 or len(cells) <= 1:
+        if jobs <= 1:
             for cell in cells:
                 yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
             return
 
+        shared = self._lanes_lock.acquire(blocking=False)
+        lanes = self._lanes if shared else []
+        finished = False
+        try:
+            if shared and jobs != self._lanes_jobs:
+                _close_lanes(lanes)
+                self._lanes_jobs = jobs
+            yield from self._run_on_lanes(lanes, cells, jobs, retry, on_error)
+            finished = True
+        finally:
+            if not (finished and shared):
+                _close_lanes(lanes)
+            if shared:
+                self._lanes_lock.release()
+
+    def _run_on_lanes(self, lanes, cells, jobs, retry, on_error):
         from repro.faults import active_plan
 
-        datasets = list(dict.fromkeys(dataset for _, _, dataset in cells))
-        failed = self.warm_artifacts(datasets, jobs=jobs, errors=on_error)
-        handles = {
-            d: self.publish_dataset(d) for d in datasets if d not in failed
-        }
-        local = [c for c in cells if c[2] not in handles]
-        remote = [c for c in cells if c[2] in handles]
-        for cell in local:
-            yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
-        if not remote:
-            return
-
         plan = active_plan()
-        fault_rules = plan.rules if plan is not None else None
-        fault_seed = plan.seed if plan is not None else 0
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(remote)),
-            mp_context=_mp_context(),
-            initializer=_worker_init,
-            initargs=(
-                self.context,
-                self.seed,
-                self.scale,
-                handles,
-                fault_rules,
-                fault_seed,
-            ),
-        )
-        try:
-            futures = {
-                pool.submit(_worker_run_cell, cell, retry, on_error): cell
-                for cell in remote
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    cell, outcome = future.result()
-                    if not isinstance(outcome, CellFailure):
-                        # Memoization happens here, in the parent —
-                        # exactly where the serial path does it — so
-                        # the memo cannot depend on the worker count.
-                        with self._lock:
-                            outcome = self.results.setdefault(cell, outcome)
-                    yield cell, outcome
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        fault = (plan.rules, plan.seed) if plan is not None else (None, 0)
+        initargs = (self.context, self.seed, self.scale)
+        order = {cell: index for index, cell in enumerate(cells)}
+        by_dataset: dict[str, list[GridKey]] = {}
+        for cell in cells:
+            by_dataset.setdefault(cell[2], []).append(cell)
+        pending: dict[Future, tuple[GridKey, _Lane]] = {}
+        busy: Counter[_Lane] = Counter()  # cells in flight per lane
+        # Lanes whose worker died this call, with their unfinished
+        # cells: those rerun one at a time on the respawned worker.
+        backlog: dict[_Lane, deque[GridKey]] = {}
+        unplaced: list[str] = []
+
+        def submit(lane: _Lane, cell: GridKey) -> None:
+            pending[lane.submit(cell, retry, on_error)] = (cell, lane)
+            busy[lane] += 1
+
+        def place() -> None:
+            """Hand waiting datasets to idle lanes, starting new ones
+            while fewer than ``jobs`` run."""
+            while unplaced:
+                idle = [
+                    lane
+                    for lane in lanes
+                    if lane not in backlog and not busy[lane]
+                ]
+                if idle:
+                    lane = idle[0]
+                elif len(lanes) < jobs:
+                    lane = _Lane(initargs, fault)
+                    lanes.append(lane)
+                else:
+                    return
+                dataset = unplaced.pop(0)
+                lane.datasets.add(dataset)
+                for cell in by_dataset[dataset]:
+                    submit(lane, cell)
+
+        for lane in lanes:
+            lane.arm(fault)
+        for dataset, dataset_cells in by_dataset.items():
+            owner = next(
+                (lane for lane in lanes if dataset in lane.datasets), None
+            )
+            if owner is None:
+                unplaced.append(dataset)
+                continue
+            for cell in dataset_cells:
+                submit(owner, cell)
+        place()
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                if future not in pending:
+                    continue  # requeued when its lane's worker died
+                cell, lane = pending.pop(future)
+                busy[lane] -= 1
+                outcome = None
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as exc:
+                    if lane in backlog:
+                        # It ran alone on a respawned worker and killed
+                        # it again: this cell is the culprit.
+                        if on_error == "raise":
+                            raise
+                        outcome = CellFailure.from_exception(
+                            cell, exc, attempts=2
+                        )
+                    else:
+                        lost = [cell] + [
+                            pending.pop(f)[0]
+                            for f, (_, owner) in list(pending.items())
+                            if owner is lane
+                        ]
+                        busy[lane] = 0
+                        backlog[lane] = deque(sorted(lost, key=order.get))
+                    lane.close()
+                    lane.spawn(fault)
+                if lane in backlog and not busy[lane]:
+                    if backlog[lane]:
+                        submit(lane, backlog[lane].popleft())
+                    else:
+                        del backlog[lane]
+                place()
+                if outcome is None:
+                    continue
+                if not isinstance(outcome, CellFailure):
+                    # Memoization happens here, in the parent — exactly
+                    # where the serial path does it — so the memo
+                    # cannot depend on the worker count.
+                    with self._lock:
+                        outcome = self.results.setdefault(cell, outcome)
+                yield cell, outcome

@@ -1,10 +1,14 @@
 """Zero-copy shared-memory publication of dataset topology artifacts.
 
-The process-pool grid backend must not re-pay the dominant grid cost —
-topology-artifact construction (CSR sorts, NA trace gathers, stack
-distances) — once per worker, nor pickle tens of megabytes of arrays
-per cell. Instead the parent *publishes* each warmed
-:class:`~repro.platforms.base.DatasetArtifacts` once:
+No grid path publishes any more: the process pool gives each dataset
+one owner process that builds it (:mod:`repro.platforms.runner`). The
+module stays while ``perfbench/spans.py`` patches
+:func:`publish_artifacts` by name.
+
+A publisher avoids re-paying topology-artifact construction (CSR
+sorts, NA trace gathers, stack distances) once per worker, or
+pickling tens of megabytes of arrays per task. It *publishes* each
+warmed :class:`~repro.platforms.base.DatasetArtifacts` once:
 
 1. every contiguous numpy array of every semantic graph
    (:meth:`SemanticGraph.topology_arrays`) is packed, 64-byte aligned,
@@ -29,8 +33,8 @@ Lifecycle hygiene
 -----------------
 
 Segments are owned by the process that created them. The owner unlinks
-on :meth:`ArtifactSegment.close` — called by ``GridRunner.close()``,
-by a ``weakref.finalize`` when the runner is garbage collected, and
+on :meth:`ArtifactSegment.close` — called explicitly, by a
+``weakref.finalize`` when the segment is garbage collected, and
 (because ``finalize`` registers with ``atexit``) on normal interpreter
 exit and ``KeyboardInterrupt``. Attaching workers *unregister* the
 segment from their ``resource_tracker`` immediately: on Python 3.11

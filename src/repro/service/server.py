@@ -6,9 +6,10 @@ Three layers, one file:
   shared :class:`~repro.api.session.Session`, the
   :class:`~repro.service.registry.JobRegistry` and one dispatcher
   thread that drains the registry in fair micro-batches through
-  :meth:`Session.compute_cells` (serial, or the process pool when the
-  session's ``jobs > 1``). Warm cells are answered from the store/memo
-  without ever entering the queue.
+  :meth:`Session.compute_cells` (serial, or the process-pool lanes
+  when the session's ``jobs > 1``; a lane keeps the datasets it built
+  across micro-batches, so no batch rebuilds one). Warm cells are
+  answered from the store/memo without ever entering the queue.
 - :class:`ReproServer` — the asyncio HTTP/1.1 front end: ``POST /run``
   streams NDJSON result envelopes as cells complete, ``GET /health``
   and ``GET /stats`` answer JSON documents. All blocking work (store

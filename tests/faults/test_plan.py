@@ -1,5 +1,8 @@
 """Fault-injection framework: rules, arming, deterministic schedules."""
 
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.faults import (
@@ -7,12 +10,14 @@ from repro.faults import (
     FaultRule,
     InjectedFault,
     InjectedIOError,
+    InjectedLatency,
     active_plan,
     arm,
     disarm,
     inject,
     inject_bytes,
 )
+from repro.faults.plan import EXIT_STATUS
 
 
 @pytest.fixture(autouse=True)
@@ -192,3 +197,46 @@ class TestByteCorruption:
         with plan:
             inject("s", key="k")  # must not raise
         assert plan.fired == 0
+
+
+def _inject_exit() -> None:
+    arm(FaultPlan([FaultRule("s", action="exit")]))
+    inject("s", key="k")
+
+
+class TestExitAction:
+    def test_raises_in_the_main_process(self):
+        """Never kills the caller: outside a worker it is an error."""
+        plan = FaultPlan([FaultRule("s", action="exit", times=1)])
+        with plan:
+            with pytest.raises(InjectedFault) as excinfo:
+                inject("s", key="k")
+        assert type(excinfo.value) is InjectedFault
+        assert plan.fired_at("s") == 1
+
+    def test_ends_a_worker_process(self):
+        process = multiprocessing.get_context("fork").Process(
+            target=_inject_exit
+        )
+        process.start()
+        process.join(timeout=60)
+        assert process.exitcode == EXIT_STATUS
+
+
+class TestPickling:
+    """Injected faults cross the process-pool boundary unchanged."""
+
+    @pytest.mark.parametrize(
+        "error", [InjectedFault, InjectedIOError, InjectedLatency]
+    )
+    @pytest.mark.parametrize("key", [None, ("t4", "rgcn", "acm")])
+    def test_round_trip(self, error, key):
+        original = error("platform.simulate", key)
+        copy = pickle.loads(pickle.dumps(original))
+        assert type(copy) is error
+        assert str(copy) == str(original)
+        assert (copy.site, copy.key) == ("platform.simulate", key)
+
+    def test_custom_message_survives(self):
+        copy = pickle.loads(pickle.dumps(InjectedFault("s", "k", "boom")))
+        assert (str(copy), copy.site, copy.key) == ("boom", "s", "k")

@@ -1,5 +1,7 @@
 """Failure taxonomy, retry policy, and per-cell isolation in the runner."""
 
+import pickle
+
 import pytest
 
 from repro.faults import FaultPlan, FaultRule, InjectedFault, disarm
@@ -64,6 +66,15 @@ class TestRetryPolicy:
         permanent.__cause__ = ValueError("no such dataset")
         assert RetryPolicy.is_transient(transient)
         assert not RetryPolicy.is_transient(permanent)
+
+    def test_build_error_survives_pickling(self):
+        original = ArtifactBuildError("acm", ValueError("x"))
+        copy = pickle.loads(pickle.dumps(original))
+        assert type(copy) is ArtifactBuildError
+        assert str(copy) == str(original)
+        assert copy.dataset == "acm"
+        assert type(copy.cause) is ValueError and str(copy.cause) == "x"
+        assert not RetryPolicy.is_transient(copy)
 
     def test_should_retry_honors_budget(self):
         policy = RetryPolicy(max_attempts=3)

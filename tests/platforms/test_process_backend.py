@@ -1,10 +1,10 @@
-"""Process-pool execution: bit-identity with serial runs.
+"""Process-pool execution: bit-identity with serial runs, and lanes.
 
 The multicore contract: ``jobs > 1`` changes wall-clock behaviour
 only. Reports, canonical grid JSON, store bytes and
 delivery semantics (exactly once per cell) are byte-identical to a
-serial run — workers attach the parent's published shared-memory
-artifacts and their results are finalized and persisted in the parent.
+serial run — each dataset is built by the one lane worker that owns
+it, and results are finalized and persisted in the parent.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +21,16 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, Session
+from repro.faults import FaultPlan, FaultRule
 from repro.models.base import ModelConfig
 from repro.platforms import ArtifactStore, GridRunner, PlatformContext
-from repro.platforms.runner import resolve_jobs
+from repro.platforms.runner import _mp_context, resolve_jobs
+from repro.scenarios import (
+    ScenarioParam,
+    build_scenario,
+    register_scenario,
+    unregister_scenario,
+)
 
 TINY_MODEL = ModelConfig(hidden_dim=16, num_heads=2, embed_dim=8)
 TINY_DATASETS = ("thrash:working_set=48,num_dst=6", "uniform:num_dst=24,degree=2")
@@ -134,6 +143,132 @@ class TestSessionProcessBackend:
             jobs=4,
         ) as session:
             assert canonical(session.run()) == baseline
+
+
+#: Where the ``lanecount`` family logs its builds (set per test).
+BUILD_LOG: Path | None = None
+
+
+def _build_counted(*, seed, scale, k):
+    """A small uniform graph that logs ``pid k`` on every build."""
+    with open(BUILD_LOG, "a") as log:
+        log.write(f"{os.getpid()} {k}\n")
+    return build_scenario(
+        f"uniform:num_dst={8 + 4 * k},degree=2", seed=seed, scale=scale
+    )
+
+
+@pytest.fixture
+def counted(tmp_path, monkeypatch):
+    """Three ``lanecount`` datasets and a reader of their build log.
+
+    The family is registered in this process; pool workers see it
+    (and ``BUILD_LOG``) because they fork from it.
+    """
+    if _mp_context().get_start_method() != "fork":
+        pytest.skip("build counting reads state the workers fork with")
+    monkeypatch.setattr(
+        sys.modules[__name__], "BUILD_LOG", tmp_path / "builds"
+    )
+    register_scenario(
+        "lanecount", params=(ScenarioParam("k", 0, "graph index"),)
+    )(_build_counted)
+    datasets = tuple(f"lanecount:k={k}" for k in (1, 2, 3))
+
+    def builds() -> list[tuple[int, str]]:
+        if not BUILD_LOG.exists():
+            return []
+        lines = BUILD_LOG.read_text().splitlines()
+        return [
+            (int(pid), f"lanecount:k={k}")
+            for pid, k in (line.split() for line in lines)
+        ]
+
+    yield datasets, builds
+    unregister_scenario("lanecount")
+
+
+class TestLanes:
+    """One owner process per dataset: built once, streamed per cell."""
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_each_dataset_built_once_per_session(self, counted, jobs):
+        datasets, builds = counted
+        spec = tiny_spec(datasets=datasets)
+        with Session(spec, jobs=jobs) as session:
+            grid = session.run()
+            # A second batch of the same cells rebuilds nothing.
+            cells = list(spec.cells())
+            again = dict(session.compute_cells(cells, spec=spec))
+        assert grid.ok and sorted(again) == sorted(cells)
+        built = builds()
+        assert sorted(dataset for _, dataset in built) == sorted(datasets)
+        assert os.getpid() not in {pid for pid, _ in built}
+        # At most `jobs` lanes, and never more than one per dataset.
+        assert len({pid for pid, _ in built}) == min(jobs, len(datasets))
+        with Session(spec) as serial:
+            assert canonical(serial.run()) == canonical(grid)
+
+    def test_fast_dataset_streams_before_slow_build_ends(self, counted):
+        datasets, builds = counted
+        fast, slow = datasets[:2]
+        spec = tiny_spec(datasets=(slow, fast))
+        rule = FaultRule(
+            "workload.build", action="latency", latency_s=2.0, match=slow
+        )
+        with FaultPlan([rule]), Session(spec, jobs=2) as session:
+            stream = session.run_iter()
+            first = next(stream)
+            assert first.dataset == fast
+            assert slow not in {dataset for _, dataset in builds()}
+            rest = list(stream)
+        assert sorted(c.key for c in [first, *rest]) == sorted(spec.cells())
+        assert all(c.ok for c in rest)
+
+    def test_no_child_outlives_the_session(self):
+        before = set(multiprocessing.active_children())
+        with Session(tiny_spec(), jobs=2) as session:
+            session.run()
+            # The lanes stay up between calls...
+            assert set(multiprocessing.active_children()) - before
+        # ...and Session exit reaps them, without waiting.
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_nested_call_runs_beside_the_lanes(self):
+        """A second call while one is open gets lanes of its own: its
+        other ``jobs`` must not shut down the lanes the first still
+        waits on."""
+        spec = tiny_spec(
+            platforms=("t4", "a100", "hihgnn"),
+            models=("rgcn", "rgat", "simple_hgn"),
+        )
+        cells = list(spec.cells())
+        with Session(spec) as serial:
+            expected = canonical(serial.run())
+        # Hold the thrash cells in flight while the nested call runs.
+        rule = FaultRule(
+            "platform.simulate", action="latency", latency_s=0.1,
+            match="thrash",
+        )
+        with FaultPlan([rule]), Session(spec, jobs=2) as session:
+            outer = session.compute_cells(cells, spec=spec)
+            first = [next(outer)]
+            inner = dict(session.compute_cells(cells, spec=spec, jobs=3))
+            rest = list(outer)
+            grid = session.run()
+        assert sorted(inner) == sorted(cells)
+        assert sorted(k for k, _ in first + rest) == sorted(cells)
+        assert canonical(grid) == expected
+
+    def test_changing_jobs_restarts_the_lanes(self, counted):
+        datasets, builds = counted
+        spec = tiny_spec(datasets=datasets)
+        with Session(spec, jobs=2) as session:
+            cells = list(spec.cells())
+            list(session.compute_cells(cells, spec=spec))
+            list(session.compute_cells(cells, spec=spec, jobs=3))
+        # Fresh lanes own nothing yet: every dataset builds again.
+        assert sorted(d for _, d in builds()) == sorted(datasets * 2)
 
 
 def test_no_resource_tracker_noise_on_process_run():
