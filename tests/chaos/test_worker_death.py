@@ -80,3 +80,15 @@ def test_build_failure_raises_typed_across_the_pool():
             session.run(on_error="raise")
     assert excinfo.value.dataset == "imdb"
     assert type(excinfo.value.cause).__name__ == "InjectedFault"
+
+
+def test_worker_killed_between_calls_is_replaced(fault_free):
+    """A lane whose worker died while idle respawns on its next call."""
+    with Session(SPEC, jobs=2) as session:
+        session.run()
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
+        cells = list(SPEC.cells())
+        again = dict(session.compute_cells(cells, on_error="collect"))
+    assert {key: cell for key, cell in again.items()} == fault_free
