@@ -67,7 +67,8 @@ class Session:
             invocations) are warm.
         jobs: default worker count for grid fan-out: 1 runs serially
             in-process, more runs up to that many single-worker
-            process lanes, each owning whole datasets (see
+            process lanes, each owning whole datasets, so a batch
+            uses at most one process per distinct dataset (see
             :mod:`repro.platforms.runner`). Results are bit-identical
             either way.
         executor: accepts only ``"process"`` (anything else raises
@@ -98,6 +99,8 @@ class Session:
     def close(self) -> None:
         """Release per-workspace resources (process-pool lanes).
 
+        Lanes that a running call (another thread's, or a suspended
+        stream) still uses are shut down by that call when it ends.
         Safe to skip: every runner also shuts its lanes down when
         garbage collected and at interpreter exit.
         """

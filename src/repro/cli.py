@@ -78,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: the four paper platforms)")
     evaluate.add_argument("--jobs", default="1", metavar="N|auto",
                           help="grid worker count (1 = serial, more = "
-                               "process pool over shared-memory "
-                               "artifacts, 'auto' = CPU count); results "
+                               "up to N worker processes, one per "
+                               "dataset, 'auto' = CPU count); results "
                                "are bit-identical either way")
     evaluate.add_argument("--no-cache", action="store_true",
                           help="skip the on-disk artifact store")
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "port is printed on startup)")
     serve.add_argument("--jobs", default="1", metavar="N|auto",
                        help="grid worker count shared by all clients "
-                            "(default: 1 = serial; more = process pool, "
+                            "(default: 1 = serial; more = up to N "
+                            "worker processes, one per dataset, "
                             "'auto' = CPU count)")
     serve.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk artifact store (no warm "

@@ -21,7 +21,10 @@ multicore, on up to ``jobs`` lanes — single-worker process pools that
 each own whole datasets. A dataset's cells all go to one lane, whose
 worker builds it at its first cell through the same serial path and
 keeps it, with its frontend, GPU-L2 and NA-segment passes, for later
-cells and later calls; each cell streams back as it completes. The
+cells and later calls; each cell streams back as it completes. A
+dataset's cells never split across workers — a second worker would
+repeat its build and the passes its cells share — so a batch runs on
+at most as many processes as it has distinct datasets. The
 parent never builds a dataset for the pool, nothing is published or
 pickled per dataset, and per-cell traffic is the cell key and its
 report. Memoization stays in the parent, and so does the session's
@@ -140,7 +143,11 @@ def _worker_arm(fault_rules, fault_seed):
 
 
 def _worker_run_cell(cell, retry, on_error):
-    return _WORKER_RUNNER.run_cell(*cell, retry=retry, on_error=on_error)
+    outcome = _WORKER_RUNNER.run_cell(*cell, retry=retry, on_error=on_error)
+    # The parent memoizes every report; a worker that lives as long as
+    # its runner keeps only its datasets, not a second copy of each.
+    _WORKER_RUNNER.results.pop(cell, None)
+    return outcome
 
 
 class _Lane:
@@ -222,13 +229,17 @@ class GridRunner:
         self._build_locks: dict[str, threading.Lock] = {}
         # Process-pool lanes, kept across run_cells calls with the
         # datasets their workers built. One call at a time uses them
-        # (a concurrent call runs on private lanes). The finalizer
-        # shuts them down when the runner dies — including interpreter
-        # exit and KeyboardInterrupt (weakref.finalize registers with
-        # atexit).
+        # (a concurrent call runs on private lanes); _lanes_guard makes
+        # claiming, releasing and closing them atomic, and a close()
+        # that finds them in use leaves their shutdown to that call.
+        # The finalizer shuts them down when the runner dies —
+        # including interpreter exit and KeyboardInterrupt
+        # (weakref.finalize registers with atexit).
         self._lanes: list[_Lane] = []
         self._lanes_jobs = 0
-        self._lanes_lock = threading.Lock()
+        self._lanes_guard = threading.Lock()
+        self._lanes_busy = False
+        self._lanes_closing = False
         self._lanes_finalizer = weakref.finalize(
             self, _close_lanes, self._lanes
         )
@@ -236,11 +247,18 @@ class GridRunner:
     def close(self) -> None:
         """Shut down the process-pool lanes (idempotent).
 
-        The exit-time finalizer stays armed, so a runner that fans out
-        again after ``close()`` starts new lanes and is still
-        leak-safe.
+        Lanes that a ``run_cells`` call (on another thread, or a
+        suspended iterator) still uses stay up until that call ends,
+        which then shuts them down itself: a pool shut down under a
+        waiting call would leave it blocked. The exit-time finalizer
+        stays armed, so a runner that fans out again after ``close()``
+        starts new lanes and is still leak-safe.
         """
-        _close_lanes(self._lanes)
+        with self._lanes_guard:
+            if self._lanes_busy:
+                self._lanes_closing = True
+            else:
+                _close_lanes(self._lanes)
 
     # ------------------------------------------------------------------
     # Shared state (graphs, artifacts, platforms)
@@ -438,8 +456,10 @@ class GridRunner:
         new one while fewer than ``jobs`` run), in batch order. The
         lane's worker builds the dataset at its first cell, exactly as
         a serial run does, and every cell streams back as it
-        completes; the parent builds nothing. Lanes keep their
-        datasets until :meth:`close`, a call with another ``jobs``, or
+        completes; the parent builds nothing. A batch of fewer
+        datasets than ``jobs`` starts only one lane per dataset. Lanes
+        keep their datasets until :meth:`close` (deferred to the end
+        of a call still using them), a call with another ``jobs``, or
         an abandoned or failed call.
 
         A worker that dies (``BrokenProcessPool``) is respawned and the
@@ -459,7 +479,9 @@ class GridRunner:
                 yield cell, self.run_cell(*cell, retry=retry, on_error=on_error)
             return
 
-        shared = self._lanes_lock.acquire(blocking=False)
+        with self._lanes_guard:
+            shared = not self._lanes_busy
+            self._lanes_busy = True
         lanes = self._lanes if shared else []
         finished = False
         try:
@@ -469,10 +491,13 @@ class GridRunner:
             yield from self._run_on_lanes(lanes, cells, jobs, retry, on_error)
             finished = True
         finally:
-            if not (finished and shared):
+            if not shared:
                 _close_lanes(lanes)
-            if shared:
-                self._lanes_lock.release()
+            else:
+                with self._lanes_guard:
+                    if not finished or self._lanes_closing:
+                        _close_lanes(lanes)
+                    self._lanes_busy = self._lanes_closing = False
 
     def _run_on_lanes(self, lanes, cells, jobs, retry, on_error):
         from repro.faults import active_plan

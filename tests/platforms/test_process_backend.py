@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,55 @@ class TestLanes:
             list(session.compute_cells(cells, spec=spec, jobs=3))
         # Fresh lanes own nothing yet: every dataset builds again.
         assert sorted(d for _, d in builds()) == sorted(datasets * 2)
+
+    def test_close_from_another_thread_lets_the_call_finish(self):
+        """``Session.close()`` under a running call must not shut its
+        lanes down (the call would block in ``wait()`` on cancelled
+        cells); the call finishes, then shuts them down itself."""
+        before = set(multiprocessing.active_children())
+        spec = tiny_spec(models=("rgcn", "rgat", "simple_hgn"))
+        cells = list(spec.cells())
+        rule = FaultRule(
+            "platform.simulate", action="latency", latency_s=0.2
+        )
+        outcomes = []
+        with FaultPlan([rule]):
+            session = Session(spec, jobs=2)
+            stream = session.compute_cells(cells, spec=spec)
+            outcomes.append(next(stream))
+            closer = threading.Thread(target=session.close)
+            closer.start()
+            closer.join(timeout=30)
+            assert not closer.is_alive()
+            # The call still owns its lanes and streams every cell.
+            consumer = threading.Thread(
+                target=lambda: outcomes.extend(stream), daemon=True
+            )
+            consumer.start()
+            consumer.join(timeout=60)
+            assert not consumer.is_alive(), "call blocked after close()"
+        assert sorted(key for key, _ in outcomes) == sorted(cells)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_workers_keep_no_report_memo(self):
+        """The parent memoizes reports; long-lived lane workers must
+        not hold a second copy of every report they served."""
+        spec = tiny_spec()
+        with Session(spec, jobs=2) as session:
+            session.run()
+            runner = session._workspace(spec).runner
+            sizes = [
+                lane.pool.submit(_worker_memo_size).result(timeout=60)
+                for lane in runner._lanes
+            ]
+            assert len(runner.results) == len(list(spec.cells()))
+        assert sizes and sizes == [0] * len(sizes)
+
+
+def _worker_memo_size() -> int:
+    from repro.platforms import runner
+
+    return len(runner._WORKER_RUNNER.results)
 
 
 def test_no_resource_tracker_noise_on_process_run():
