@@ -113,24 +113,25 @@ class Decoupler:
         """The FIFO matching of ``graph``, shared with its twin in a pass.
 
         Two graphs share when the engine would search identical input:
-        equal shape and equal CSR arrays of the oriented graph, compared
-        element by element.
+        equal shape and equal CSR arrays of the oriented graph. A
+        transpose pair's oriented CSRs are one object (a reverse
+        resolves its adjacency through its twin), so identical arrays
+        match without the element-by-element comparison.
         """
         engine = maximum_matching_fifo if self.naive else maximum_matching_vec
         memo = self.pass_matchings
         if memo is None:
             return engine(graph)
         flipped = graph.num_dst < graph.num_src
-        if flipped:
-            graph.csc  # cached here, it becomes the reverse's CSR
         oriented = graph.reversed() if flipped else graph
         csr = oriented.csr
         bucket = memo.setdefault(
             (oriented.num_src, oriented.num_dst, oriented.num_edges), []
         )
         for indptr, indices, known in bucket:
-            if np.array_equal(indptr, csr.indptr) and np.array_equal(
-                indices, csr.indices
+            if (indptr is csr.indptr and indices is csr.indices) or (
+                np.array_equal(indptr, csr.indptr)
+                and np.array_equal(indices, csr.indices)
             ):
                 result = MatchingResult(
                     match_src=known.match_src.copy(),

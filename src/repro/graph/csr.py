@@ -4,6 +4,12 @@ The simulators walk adjacency millions of times, so the representation
 is two flat int64 arrays (``indptr``, ``indices``) rather than Python
 dicts. Rows are *source* vertices; a CSC view of the same edge set is
 just a CSR built with the roles swapped.
+
+Topology arrays are shared, not copied: a relation and its reverse hold
+the same edge arrays, and a reverse semantic graph's CSR is its twin's
+CSC. Every shared array is therefore read-only (:func:`readonly`), so a
+stray in-place write raises ``ValueError`` instead of corrupting the
+other holders.
 """
 
 from __future__ import annotations
@@ -12,7 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CSR", "gather_rows", "sorted_unique"]
+__all__ = ["CSR", "gather_rows", "readonly", "sorted_unique"]
+
+
+def readonly(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only in place and return it.
+
+    Its holder adopts the array without a copy and may share it; any
+    later in-place write through any reference raises ``ValueError``.
+    """
+    array.flags.writeable = False
+    return array
 
 
 def gather_rows(csr: "CSR", schedule: np.ndarray) -> np.ndarray:
@@ -58,6 +74,10 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 class CSR:
     """Immutable CSR adjacency over ``num_rows`` row vertices.
 
+    ``indptr`` and ``indices`` are adopted read-only, not copied: one
+    CSR may serve a semantic graph as its CSR and the reverse relation
+    as its CSC, so an in-place write to either raises ``ValueError``.
+
     Attributes:
         indptr: ``(num_rows + 1,)`` int64 array; row ``u`` owns
             ``indices[indptr[u]:indptr[u + 1]]``.
@@ -71,6 +91,8 @@ class CSR:
     num_cols: int
 
     def __post_init__(self) -> None:
+        readonly(self.indptr)
+        readonly(self.indices)
         if self.indptr.ndim != 1 or self.indices.ndim != 1:
             raise ValueError("indptr and indices must be 1-D arrays")
         if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
@@ -95,8 +117,8 @@ class CSR:
         per dataset for nothing. Callers own the validity guarantee.
         """
         csr = object.__new__(cls)
-        object.__setattr__(csr, "indptr", indptr)
-        object.__setattr__(csr, "indices", indices)
+        object.__setattr__(csr, "indptr", readonly(indptr))
+        object.__setattr__(csr, "indices", readonly(indices))
         object.__setattr__(csr, "num_cols", int(num_cols))
         return csr
 

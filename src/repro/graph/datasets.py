@@ -12,7 +12,8 @@ latent community structure of the real datasets is precisely what the
 paper's restructuring method exploits.
 
 Every spec includes both edge directions, exactly as Table 2 lists them
-(``A -> M`` and ``M -> A`` are separate relations sharing one edge set).
+(``A -> M`` and ``M -> A`` are separate relations sharing one edge set,
+stored once: the reverse holds the forward's arrays, swapped).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def load_dataset(
         relation = Relation(rel_spec.src_type, rel_spec.name, rel_spec.dst_type)
         edges[relation] = (src, dst)
         reverse = relation.reversed(rel_spec.reverse_name)
-        edges[reverse] = (dst.copy(), src.copy())
+        edges[reverse] = (dst, src)
 
     return HeteroGraph(
         num_vertices=num_vertices,

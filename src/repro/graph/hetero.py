@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, readonly
 
 __all__ = ["Relation", "HeteroGraph"]
 
@@ -54,6 +54,12 @@ class HeteroGraph:
         edges: per-relation COO edge arrays ``{relation: (src, dst)}``
             with *local* vertex ids.
         name: optional dataset name for reporting.
+
+    The graph adopts its int64 edge arrays without copying them and
+    marks them read-only: a reverse relation is stored as its forward's
+    ``(dst, src)`` array objects, and :func:`~repro.graph.semantic.build_semantic_graphs`
+    shares them again, so an in-place write raises ``ValueError``
+    instead of changing every holder's topology.
     """
 
     def __init__(
@@ -100,7 +106,7 @@ class HeteroGraph:
                     raise ValueError(f"source id out of range in relation {rel}")
                 if dst.min() < 0 or dst.max() >= num_vertices[rel.dst_type]:
                     raise ValueError(f"destination id out of range in relation {rel}")
-            self._edges[rel] = (src, dst)
+            self._edges[rel] = (readonly(src), readonly(dst))
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -197,7 +203,8 @@ class HeteroGraph:
 
         Mirrors how DGL-style HGNN pipelines symmetrize relation sets
         (Table 2 lists both ``A -> M`` and ``M -> A``). Relations that
-        already have a reverse present are left alone.
+        already have a reverse present are left alone. A reverse holds
+        its forward's read-only arrays, swapped, not copies.
         """
         edges = dict(self._edges)
         directed_pairs = {(r.src_type, r.dst_type) for r in edges}
@@ -205,7 +212,7 @@ class HeteroGraph:
             if (rel.dst_type, rel.src_type) in directed_pairs:
                 continue  # some relation already runs the other way
             rev = rel.reversed()
-            edges[rev] = (dst.copy(), src.copy())
+            edges[rev] = (dst, src)
         return HeteroGraph(
             self._num_vertices, self._feature_dims, edges, name=self.name
         )

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.csr import CSR, gather_rows, sorted_unique
+from repro.graph.csr import CSR, gather_rows, readonly, sorted_unique
 from repro.graph.hetero import HeteroGraph, Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,6 +50,13 @@ class SemanticGraph:
         dst_global_base: global-id offset of the destination type.
         src_feature_dim: raw feature dimension on the source side.
         dst_feature_dim: raw feature dimension on the destination side.
+
+    The graph adopts ``src`` and ``dst`` without copying them and marks
+    them read-only; :func:`build_semantic_graphs` shares them with the
+    :class:`HeteroGraph` and with the reverse relation. A graph whose
+    ``_twin`` is set holds that twin's arrays, swapped, and resolves
+    its CSR, CSC and active-vertex sets through it, so a transpose pair
+    sorts each adjacency once.
     """
 
     relation: Relation
@@ -69,12 +76,20 @@ class SemanticGraph:
     _na_artifact: "TraceArtifact | None" = field(
         default=None, repr=False, compare=False
     )
+    _twin: "SemanticGraph | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.dst = np.asarray(self.dst, dtype=np.int64)
+        self.src = readonly(np.asarray(self.src, dtype=np.int64))
+        self.dst = readonly(np.asarray(self.dst, dtype=np.int64))
         if self.src.shape != self.dst.shape:
             raise ValueError("src and dst edge arrays must match in length")
+        twin = self._twin
+        if twin is not None and not (
+            self.src is twin.dst
+            and self.dst is twin.src
+            and (self.num_src, self.num_dst) == (twin.num_dst, twin.num_src)
+        ):
+            raise ValueError("a twin must hold this graph's arrays, swapped")
         if len(self.src):
             if self.src.min() < 0 or self.src.max() >= self.num_src:
                 raise ValueError("source id out of range")
@@ -96,16 +111,33 @@ class SemanticGraph:
 
     @property
     def csr(self) -> CSR:
-        """Source-major adjacency (``neighbors_out``)."""
+        """Source-major adjacency (``neighbors_out``), cached and read-only.
+
+        A graph with a twin returns the twin's CSC object, sorting it on
+        the twin if neither side has yet.
+        """
         if self._csr is None:
-            self._csr = CSR.from_coo(self.src, self.dst, self.num_src, self.num_dst)
+            if self._twin is not None:
+                self._csr = self._twin.csc
+            else:
+                self._csr = CSR.from_coo(
+                    self.src, self.dst, self.num_src, self.num_dst
+                )
         return self._csr
 
     @property
     def csc(self) -> CSR:
-        """Destination-major adjacency (``neighbors_in``)."""
+        """Destination-major adjacency (``neighbors_in``), cached and read-only.
+
+        A graph with a twin returns the twin's CSR object.
+        """
         if self._csc is None:
-            self._csc = CSR.from_coo(self.dst, self.src, self.num_dst, self.num_src)
+            if self._twin is not None:
+                self._csc = self._twin.csr
+            else:
+                self._csc = CSR.from_coo(
+                    self.dst, self.src, self.num_dst, self.num_src
+                )
         return self._csc
 
     def neighbors_out(self, u: int) -> np.ndarray:
@@ -154,27 +186,33 @@ class SemanticGraph:
         unchanged, which is what the hardware needs: restructured
         subgraphs must still address the same features in DRAM.
 
-        A mask that keeps every edge hands the cached adjacency and
-        active-vertex sets over, as :meth:`reversed` does; the result
-        is still a new object, so dropping its caches leaves ours.
+        A mask that keeps every edge shares this graph's read-only edge
+        arrays, cached adjacency, active-vertex sets and twin instead of
+        copying them; the result is still a new object, so dropping its
+        caches leaves ours. Any other mask gives fresh (read-only)
+        arrays.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.src.shape:
             raise ValueError("mask must have one entry per edge")
-        caches = {}
         if mask.all():
+            src, dst = self.src, self.dst
             caches = dict(
                 _csr=self._csr,
                 _csc=self._csc,
                 _active_src=self._active_src,
                 _active_dst=self._active_dst,
+                _twin=self._twin,
             )
+        else:
+            src, dst = self.src[mask], self.dst[mask]
+            caches = {}
         return SemanticGraph(
             relation=self.relation,
             num_src=self.num_src,
             num_dst=self.num_dst,
-            src=self.src[mask],
-            dst=self.dst[mask],
+            src=src,
+            dst=dst,
             src_global_base=self.src_global_base,
             dst_global_base=self.dst_global_base,
             src_feature_dim=self.src_feature_dim,
@@ -183,15 +221,27 @@ class SemanticGraph:
         )
 
     def active_src(self) -> np.ndarray:
-        """Source vertices with at least one edge, ascending (cached)."""
+        """Source vertices with at least one edge, ascending (cached).
+
+        A graph with a twin returns the twin's :meth:`active_dst`.
+        """
         if self._active_src is None:
-            self._active_src = _active_ids(self.src, self.num_src)
+            if self._twin is not None:
+                self._active_src = self._twin.active_dst()
+            else:
+                self._active_src = readonly(_active_ids(self.src, self.num_src))
         return self._active_src
 
     def active_dst(self) -> np.ndarray:
-        """Destination vertices with at least one edge, ascending (cached)."""
+        """Destination vertices with at least one edge, ascending (cached).
+
+        A graph with a twin returns the twin's :meth:`active_src`.
+        """
         if self._active_dst is None:
-            self._active_dst = _active_ids(self.dst, self.num_dst)
+            if self._twin is not None:
+                self._active_dst = self._twin.active_src()
+            else:
+                self._active_dst = readonly(_active_ids(self.dst, self.num_dst))
         return self._active_dst
 
     def na_trace(self) -> np.ndarray:
@@ -320,24 +370,22 @@ class SemanticGraph:
     def reversed(self) -> "SemanticGraph":
         """The reverse semantic graph (roles swapped).
 
-        The reverse's CSR is this graph's CSC (the identical
-        ``CSR.from_coo`` call) and vice versa, so whichever adjacency
-        and active-vertex caches exist are handed over, not rebuilt.
+        It holds this graph's read-only edge arrays, swapped, and has
+        this graph as its twin: its CSR is this graph's CSC (the
+        identical ``CSR.from_coo`` call) and vice versa, and likewise
+        the active-vertex sets, each built once on this graph.
         """
         return SemanticGraph(
             relation=self.relation.reversed(),
             num_src=self.num_dst,
             num_dst=self.num_src,
-            src=self.dst.copy(),
-            dst=self.src.copy(),
+            src=self.dst,
+            dst=self.src,
             src_global_base=self.dst_global_base,
             dst_global_base=self.src_global_base,
             src_feature_dim=self.dst_feature_dim,
             dst_feature_dim=self.src_feature_dim,
-            _csr=self._csc,
-            _csc=self._csr,
-            _active_src=self._active_dst,
-            _active_dst=self._active_src,
+            _twin=self,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -352,23 +400,34 @@ def build_semantic_graphs(graph: HeteroGraph) -> list[SemanticGraph]:
 
     Every returned graph carries global-id bases so downstream
     simulators can convert vertex ids into DRAM feature addresses.
+
+    The graphs adopt ``graph``'s read-only edge arrays without copying
+    them. A relation whose arrays are an earlier relation's, swapped
+    (the reverse that :class:`HeteroGraph` stores as its forward's
+    ``(dst, src)``), gets that relation as its twin, so its CSR, CSC
+    and active-vertex sets are the twin's objects. Twins are found by
+    array identity, never by relation name.
     """
     semantic_graphs = []
+    by_arrays: dict[tuple[int, int, int, int], SemanticGraph] = {}
     for relation in graph.relations:
         src, dst = graph.edges_of(relation)
-        semantic_graphs.append(
-            SemanticGraph(
-                relation=relation,
-                num_src=graph.num_vertices(relation.src_type),
-                num_dst=graph.num_vertices(relation.dst_type),
-                src=src.copy(),
-                dst=dst.copy(),
-                src_global_base=graph.type_offset(relation.src_type),
-                dst_global_base=graph.type_offset(relation.dst_type),
-                src_feature_dim=graph.feature_dim(relation.src_type),
-                dst_feature_dim=graph.feature_dim(relation.dst_type),
-            )
+        num_src = graph.num_vertices(relation.src_type)
+        num_dst = graph.num_vertices(relation.dst_type)
+        sg = SemanticGraph(
+            relation=relation,
+            num_src=num_src,
+            num_dst=num_dst,
+            src=src,
+            dst=dst,
+            src_global_base=graph.type_offset(relation.src_type),
+            dst_global_base=graph.type_offset(relation.dst_type),
+            src_feature_dim=graph.feature_dim(relation.src_type),
+            dst_feature_dim=graph.feature_dim(relation.dst_type),
+            _twin=by_arrays.get((id(dst), id(src), num_dst, num_src)),
         )
+        by_arrays.setdefault((id(src), id(dst), num_src, num_dst), sg)
+        semantic_graphs.append(sg)
     return semantic_graphs
 
 

@@ -102,7 +102,14 @@ class DatasetArtifacts:
         graph: HeteroGraph,
         semantic_graphs: list[SemanticGraph] | None = None,
     ) -> "DatasetArtifacts":
-        """Build (or adopt) the SGB output and warm all topology caches."""
+        """Build (or adopt) the SGB output and warm all topology caches.
+
+        The topology is held once: the semantic graphs share the graph's
+        read-only edge arrays, and a reverse relation's CSR, CSC and
+        active sets are its twin's objects (see
+        :func:`~repro.graph.semantic.build_semantic_graphs`), so warming
+        a transpose pair sorts each adjacency once.
+        """
         if semantic_graphs is None:
             semantic_graphs = build_semantic_graphs(graph)
         for sg in semantic_graphs:

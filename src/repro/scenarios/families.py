@@ -62,10 +62,13 @@ def _degree_sequence(
 def _with_reverse(
     edges: dict[Relation, tuple[np.ndarray, np.ndarray]],
 ) -> dict[Relation, tuple[np.ndarray, np.ndarray]]:
-    """Add the reverse direction of every relation (Table 2 style)."""
+    """Add the reverse direction of every relation (Table 2 style).
+
+    The reverse holds the forward's arrays, swapped, not copies.
+    """
     full = dict(edges)
     for rel, (src, dst) in edges.items():
-        full[rel.reversed()] = (dst.copy(), src.copy())
+        full[rel.reversed()] = (dst, src)
     return full
 
 
@@ -140,7 +143,7 @@ def _build_scale(*, seed, scale, base, factor):
         )
         relation = Relation(rel_spec.src_type, rel_spec.name, rel_spec.dst_type)
         edges[relation] = (src, dst)
-        edges[relation.reversed(rel_spec.reverse_name)] = (dst.copy(), src.copy())
+        edges[relation.reversed(rel_spec.reverse_name)] = (dst, src)
     return HeteroGraph(
         num_vertices=num_vertices,
         feature_dims=dict(spec.feature_dims),

@@ -66,6 +66,7 @@ class TestSemanticGraph:
         sg.csr, sg.csc, sg.active_src(), sg.active_dst()
         sub = sg.edge_subgraph(np.ones(3, dtype=bool))
         assert sub is not sg
+        assert sub.src is sg.src and sub.dst is sg.dst
         assert sub._csr is sg._csr and sub._csc is sg._csc
         assert sub._active_src is sg._active_src
         assert sub._active_dst is sg._active_dst
@@ -74,6 +75,7 @@ class TestSemanticGraph:
         partial = sg.edge_subgraph(np.array([True, True, False]))
         assert partial._csr is None and partial._csc is None
         assert partial._active_src is None and partial._active_dst is None
+        assert not partial.src.flags.writeable
 
     def test_reversed_swaps_roles(self, make_semantic):
         sg = make_semantic(3, 2, [(0, 1), (2, 0)])
@@ -91,7 +93,11 @@ class TestSemanticGraph:
             rev.relation, rev.num_src, rev.num_dst,
             src=rev.src.copy(), dst=rev.dst.copy(),
         )
-        assert (rev._csr is sg._csc) and (rev._csc is sg._csr)
+        assert rev.src is sg.dst and rev.dst is sg.src
+        assert (rev.csr is sg.csc) and (rev.csc is sg.csr)
+        assert rev.reversed().csr is sg.csr
+        full = rev.edge_subgraph(np.ones(rev.num_edges, dtype=bool))
+        assert full.csr is sg.csc
         for view in ("csr", "csc"):
             got, want = getattr(rev, view), getattr(fresh, view)
             assert np.array_equal(got.indptr, want.indptr)
